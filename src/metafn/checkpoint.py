@@ -17,13 +17,16 @@ Little-endian layout:
 
 Records are written in registry order, so save -> load -> save is
 byte-identical.  Every record's CRC is verified on load and failures
-name the offending entry.
+name the offending entry.  A save writes a temporary file beside the
+target and renames it over the target, so a failed or interrupted save
+leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -76,7 +79,14 @@ class Checkpoint:
             chunks.append(struct.pack(f"<{len(shape)}I", *shape))
             chunks.append(struct.pack("<I", zlib.crc32(payload)))
             chunks.append(payload)
-        Path(path).write_bytes(b"".join(chunks))
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(b"".join(chunks))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

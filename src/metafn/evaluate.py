@@ -27,9 +27,15 @@ TIE_DECIMALS = 3
 
 
 def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle,
-                split_name: str, batch: int = 4096) -> np.ndarray:
-    """Raw model outputs for one split (logits or standardized values)."""
-    x_num, x_cat, _ = D.matrices(bundle, split_name)
+                split_name: str, batch: int = 4096,
+                matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
+    """Raw model outputs for one split (logits or standardized values).
+
+    ``matrices`` is the split's ``data.matrices`` result when the caller
+    already holds it; otherwise the split is transformed here.
+    """
+    x_num, x_cat, _ = matrices if matrices is not None else D.matrices(bundle, split_name)
     n = x_num.shape[0]
     if n == 0:
         raise UsageError(f"split {split_name!r} of {bundle.schema.name!r} is empty")
@@ -55,8 +61,9 @@ def score(assembly: ModelAssembly, bundle: D.DatasetBundle,
     """Accuracy for binary tasks, standardized MSE for regression."""
     if split_name not in ("valid", "test"):
         raise UsageError("score evaluates the 'valid' or 'test' split")
-    pred = predictions(assembly, bundle, split_name)
-    _, _, y = D.matrices(bundle, split_name)
+    mats = D.matrices(bundle, split_name)
+    pred = predictions(assembly, bundle, split_name, matrices=mats)
+    y = mats[2]
     if bundle.schema.task == "binary":
         acc = float(np.mean((pred > 0.0) == (y == 1.0)))
         return Score(acc, "accuracy", True)

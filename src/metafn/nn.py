@@ -1,8 +1,7 @@
 """Neural-network primitives built on the autodiff engine.
 
-Parameters carry a hierarchical name, a trainability flag, and a
-weight-decay exemption flag (true for embedding, normalization, and bias
-parameters only).
+Parameters carry a hierarchical name and a weight-decay exemption flag
+(true for embedding, normalization, and bias parameters only).
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ from .tensor import Tensor
 class Parameter(Tensor):
     """A named, trainable tensor."""
 
-    __slots__ = ("name", "trainable", "weight_decay_exempt")
+    __slots__ = ("name", "weight_decay_exempt")
 
-    def __init__(self, data, name: str, trainable: bool = True,
-                 weight_decay_exempt: bool = False):
+    def __init__(self, data, name: str, weight_decay_exempt: bool = False):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
         self.weight_decay_exempt = weight_decay_exempt
 
     def __repr__(self) -> str:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,20 @@ def test_float32_export_halves_payload(tmp_path):
     arr64 = c64.arrays()
     for name, arr in c32.arrays().items():
         np.testing.assert_allclose(arr, arr64[name], rtol=1e-6, atol=1e-6)
+
+
+def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_assembly(seed=1), path, phase="pretrain")
+    old = path.read_bytes()
+    real_write = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write(self, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(make_assembly(seed=2), path, phase="pretrain")
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

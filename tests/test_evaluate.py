@@ -72,6 +72,18 @@ def test_score_regression_exact_predictor():
     assert E.score(asm, bundle, "test").value == pytest.approx(0.0, abs=1e-24)
 
 
+def test_score_transforms_its_split_once(monkeypatch):
+    bundle = prepared_bundle(task="regression", n=100, seed=32, name="once")
+    asm = ModelAssembly(CFG, seed=33)
+    asm.attach_dataset(bundle.schema.signature())
+    expected = E.score(asm, bundle, "valid").value
+    calls = []
+    real = D.matrices
+    monkeypatch.setattr(D, "matrices", lambda b, s: calls.append(s) or real(b, s))
+    assert E.score(asm, bundle, "valid").value == expected
+    assert calls == ["valid"]
+
+
 def test_score_invariant_to_row_order():
     bundle = prepared_bundle(n=300, seed=5)
     asm = ModelAssembly(CFG, seed=6)
