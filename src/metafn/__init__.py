@@ -6,7 +6,7 @@ per-dataset calibration, the three-phase training paradigm (pretrain /
 calibrate / refine), dataset preprocessing, and an evaluation harness.
 """
 
-from .calinear import CaLinear, calinear_ffn_forward, make_direct_coefficient_variant
+from .calinear import CaLinear, calinear_ffn_forward
 from .checkpoint import Checkpoint, assembly_from_checkpoint, load_shared, save_checkpoint
 from .data import (DatasetBundle, Schema, SynthSuiteSpec, apply_setting,
                    generate_synth_suite, load_csv, split)
@@ -14,9 +14,9 @@ from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      MetafnError, UsageError)
 from .gradcheck import check_gradients
 from .model import DatasetSignature, ModelAssembly, ModelConfig, make_plain_twin
-from .nn import Parameter, apply_linear, compute_loss, layer_norm, self_attention, softmax
+from .nn import Parameter, compute_loss, self_attention
 from .optim import AdamW, lr_at
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, layer_norm, no_grad, softmax
 from .training import PhaseSpec, TrainLog, calibrate, pretrain, refine, train_from_scratch
 
 __version__ = "0.1.0"
@@ -26,10 +26,9 @@ __all__ = [
     "DataError", "DatasetBundle", "DatasetSignature", "DimensionError",
     "MetafnError", "ModelAssembly", "ModelConfig", "Parameter", "PhaseSpec",
     "Schema", "SynthSuiteSpec", "Tensor", "TrainLog", "UsageError",
-    "apply_linear", "apply_setting", "assembly_from_checkpoint", "calibrate",
+    "apply_setting", "assembly_from_checkpoint", "calibrate",
     "calinear_ffn_forward", "check_gradients", "compute_loss",
     "generate_synth_suite", "layer_norm", "load_csv", "load_shared", "lr_at",
-    "make_direct_coefficient_variant", "make_plain_twin", "no_grad",
-    "pretrain", "refine", "save_checkpoint", "self_attention", "softmax",
-    "split", "train_from_scratch",
+    "make_plain_twin", "no_grad", "pretrain", "refine", "save_checkpoint",
+    "self_attention", "softmax", "split", "train_from_scratch",
 ]

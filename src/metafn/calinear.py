@@ -11,9 +11,8 @@ Because the mixture is linear in the bases, the forward pass first mixes
 the weights per token and then applies a single batched matmul, which is
 algebraically identical to summing M separate affine maps.
 
-The "direct" variant replaces the calibration MLP with a per-dataset
-learnable logit matrix [T, M] put through the same softmax (an ablation
-of how coefficients are produced; the basis maps stay shared).
+In the "direct" coefficient mode the assembly feeds the same forward pass
+softmax rows of a per-dataset logit matrix instead of the MLP's output.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ class CaLinear:
         """Map a context vector [T] to simplex coefficient rows [T, M]."""
         if context.ndim != 1:
             raise DimensionError("context vector must be 1-D (one scalar per token)")
-        h = T.relu(T.matmul(context.reshape(context.size, 1), self.cal_w1) + self.cal_b1)
-        logits = T.matmul(h, self.cal_w2) + self.cal_b2
-        return T.softmax(logits, axis=-1)
+        h = T.relu(T.linear(context.reshape(context.size, 1), self.cal_w1, self.cal_b1))
+        return T.softmax(T.linear(h, self.cal_w2, self.cal_b2), axis=-1)
 
     def forward(self, z: Tensor, coeffs: Tensor) -> Tensor:
         """Apply the coefficient-weighted mixture of basis maps.
@@ -78,48 +76,9 @@ class CaLinear:
                 f"{self.name}: coefficient shape {coeffs.shape} does not match "
                 f"(tokens={z.shape[1]}, basis={self.n_basis})")
         w_flat = self.weight.reshape(self.n_basis, self.d_in * self.d_out)
-        w_eff = T.matmul(coeffs, w_flat).reshape(coeffs.shape[0], self.d_in, self.d_out)
+        w_eff = T.linear(coeffs, w_flat).reshape(coeffs.shape[0], self.d_in, self.d_out)
         out = T.matmul(z.transpose(1, 0, 2), w_eff).transpose(1, 0, 2)
-        return out + T.matmul(coeffs, self.bias)
-
-
-class DirectCoefficientCaLinear:
-    """Ablation variant: per-dataset learnable logits instead of the MLP.
-
-    Shares the basis parameters of the layer it derives from; only the
-    coefficient source changes.
-    """
-
-    def __init__(self, base: CaLinear, logits: Parameter):
-        if logits.shape[1] != base.n_basis:
-            raise DimensionError("logit matrix width must equal the basis count")
-        self.base = base
-        self.logits = logits
-        self.d_in = base.d_in
-        self.d_out = base.d_out
-        self.n_basis = base.n_basis
-        self.name = base.name
-
-    def coefficients(self, context: Tensor | None = None) -> Tensor:
-        return T.softmax(self.logits, axis=-1)
-
-    def forward(self, z: Tensor, coeffs: Tensor) -> Tensor:
-        return self.base.forward(z, coeffs)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.logits]
-
-
-def make_direct_coefficient_variant(layer: CaLinear, n_tokens: int,
-                                    name: str | None = None) -> DirectCoefficientCaLinear:
-    """Swap the calibration MLP for directly learnable per-token logits.
-
-    Logits start at zero, i.e. uniform coefficients.  Adds T*M dataset
-    parameters per layer (versus T context scalars total in MLP mode).
-    """
-    logits = Parameter(np.zeros((n_tokens, layer.n_basis)),
-                       name or f"{layer.name}.coef_logits")
-    return DirectCoefficientCaLinear(layer, logits)
+        return out + T.linear(coeffs, self.bias)
 
 
 def calinear_ffn_forward(lin1, lin2, z: Tensor, c1: Tensor, c2: Tensor) -> Tensor:

@@ -24,9 +24,8 @@ import numpy as np
 from . import tensor as T
 from .calinear import CaLinear, calinear_ffn_forward
 from .errors import ConfigError, DataError, UsageError
-from .nn import (Parameter, apply_linear, init_attention,
-                 layer_norm, self_attention, uniform_fan_in)
-from .tensor import Tensor
+from .nn import Parameter, init_attention, self_attention, uniform_fan_in
+from .tensor import Tensor, layer_norm
 
 COEFFICIENT_MODES = ("mlp", "direct", "plain")
 
@@ -106,7 +105,7 @@ class PlainLinear:
         return [self.weight, self.bias]
 
     def forward(self, z: Tensor) -> Tensor:
-        return apply_linear(z, self.weight, self.bias)
+        return T.linear(z, self.weight, self.bias)
 
 
 class FeatureTokenizer:
@@ -202,7 +201,7 @@ class OutputHead:
 
     def forward(self, h_cls: Tensor) -> Tensor:
         normed = layer_norm(h_cls, self.gamma, self.beta, self.eps)
-        return apply_linear(T.relu(normed), self.weight, self.bias)
+        return T.linear(T.relu(normed), self.weight, self.bias)
 
 
 class Block:

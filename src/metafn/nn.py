@@ -35,29 +35,6 @@ def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def apply_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` broadcast over leading axes of x."""
-    if x.shape[-1] != weight.shape[0]:
-        raise DimensionError(
-            f"linear input width {x.shape[-1]} != weight rows {weight.shape[0]}")
-    if weight.shape[1] != bias.shape[-1]:
-        raise DimensionError(
-            f"weight cols {weight.shape[1]} != bias width {bias.shape[-1]}")
-    return T.linear(x, weight, bias)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
-    if x.shape[-1] == 0:
-        raise DimensionError("layer_norm over an empty feature axis")
-    return T.layer_norm_op(x, gamma, beta, eps)
-
-
-softmax = T.softmax
-
-
 @dataclass
 class AttentionParams:
     """Projection parameters for one multi-head self-attention layer.
@@ -108,15 +85,15 @@ def self_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
     def split(t: Tensor) -> Tensor:
         return t.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)  # [B, H, T, dh]
 
-    q = split(apply_linear(x, p.wq, p.bq))
-    k = split(T.matmul(x, p.wk))
-    v = split(apply_linear(x, p.wv, p.bv))
+    q = split(T.linear(x, p.wq, p.bq))
+    k = split(T.linear(x, p.wk))
+    v = split(T.linear(x, p.wv, p.bv))
 
     scores = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
     weights = T.softmax(scores, axis=-1)          # [B, H, T, T]
     ctx = T.matmul(weights, v)                    # [B, H, T, dh]
     merged = ctx.transpose(0, 2, 1, 3).reshape(B, S, d)
-    return apply_linear(merged, p.wo, p.bo)
+    return T.linear(merged, p.wo, p.bo)
 
 
 def compute_loss(pred: Tensor, target: np.ndarray, task: str) -> Tensor:

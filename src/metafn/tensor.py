@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 _GRAD_ENABLED = True
 
@@ -226,26 +226,12 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched product of stacked matrices; a 2-D right operand belongs in ``linear``."""
     a, b = _to_const(a), _to_const(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-
-    if b.ndim == 2:
-        # stack of row vectors times one matrix: run as a single flat GEMM
-        lead = a.shape[:-1]
-        k = a.shape[-1]
-        a2 = a.data.reshape(-1, k)
-        out_data = (a2 @ b.data).reshape(*lead, b.shape[1])
-
-        def backward(g):
-            g2 = np.ascontiguousarray(g).reshape(-1, b.shape[1])
-            a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            b._accumulate(a2.T @ g2)
-
-        return Tensor._from_op(out_data, (a, b), backward)
-
     out_data = a.data @ b.data
 
     def backward(g):
@@ -406,29 +392,45 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._from_op(out_data, (table,), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Fused ``x @ weight + bias`` over the last axis, as one flat GEMM."""
-    x, weight, bias = _to_const(x), _to_const(weight), _to_const(bias)
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Fused ``x @ weight (+ bias)`` over the last axis, as one flat GEMM.
+
+    Every product with a 2-D right operand goes through here: the leading
+    axes of ``x`` are flattened into rows, so the weight gradient is a single
+    ``x2.T @ g2`` rather than a sum of per-batch products.
+    """
+    x, weight = _to_const(x), _to_const(weight)
     if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"linear shapes differ: {x.shape} @ {weight.shape}")
-    if bias.shape != (weight.shape[1],):
-        raise DimensionError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, x.shape[-1])
-    out_data = (x2 @ weight.data + bias.data).reshape(*lead, weight.shape[1])
+    out2 = x2 @ weight.data
+    parents: tuple[Tensor, ...] = (x, weight)
+    if bias is not None:
+        bias = _to_const(bias)
+        if bias.shape != (weight.shape[1],):
+            raise DimensionError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
+        out2 = out2 + bias.data
+        parents = (x, weight, bias)
+    out_data = out2.reshape(*lead, weight.shape[1])
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(-1, weight.shape[1])
         x._accumulate((g2 @ weight.data.T).reshape(x.shape))
         weight._accumulate(x2.T @ g2)
-        bias._accumulate(g2.sum(axis=0))
+        if bias is not None:
+            bias._accumulate(g2.sum(axis=0))
 
-    return Tensor._from_op(out_data, (x, weight, bias), backward)
+    return Tensor._from_op(out_data, parents, backward)
 
 
-def layer_norm_op(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Fused layer normalization over the last axis with affine output."""
+    if eps <= 0:
+        raise ConfigError("layer_norm eps must be positive")
     x, gamma, beta = _to_const(x), _to_const(gamma), _to_const(beta)
+    if x.shape[-1] == 0:
+        raise DimensionError("layer_norm over an empty feature axis")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)

@@ -4,9 +4,20 @@ Pretraining samples a dataset uniformly at every step and trains the
 shared body together with every dataset's own parts.  Calibration
 freezes the shared body (except normalization parameters) and trains the
 new dataset's tokenizer, head, and context from scratch.  Refinement
-briefly unfreezes everything.  Calibration and refinement keep the best
-validation checkpoint, with the initial state included as a candidate,
-so refinement can never end worse than the calibration result.
+briefly unfreezes everything, and the from-scratch baseline trains every
+parameter on one dataset.
+
+All four phases run one step loop, ``_train``.  A phase hands it a batch
+schedule, a log period, the tables it validates on and one of two rules
+for the state it retains:
+
+* best (calibrate, refine, scratch): the initial state and the state at
+  every epoch end are candidates, and the one with the best validation
+  metric is restored at the end, so refinement can never end worse than
+  the calibration result;
+* last (pretrain): the state at the latest log point is kept.
+
+A non-finite loss stops the loop and restores the retained state.
 
 Dataset-specific parameters follow the warmup/decay schedule; shared
 parameters train at the constant base rate.
@@ -14,11 +25,11 @@ parameters train at the constant base rate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from math import ceil
+from typing import Iterator
 
 import numpy as np
 
@@ -87,18 +98,6 @@ class TrainLog:
         return [e.train_loss for e in self.entries]
 
 
-def _digest(p: Parameter) -> str:
-    return hashlib.sha256(np.ascontiguousarray(p.data).tobytes()).hexdigest()
-
-
-def _digests(params: dict[str, Parameter]) -> dict[str, str]:
-    return {n: _digest(p) for n, p in params.items()}
-
-
-def _changed(before: dict[str, str], params: dict[str, Parameter]) -> list[str]:
-    return sorted(n for n, p in params.items() if _digest(p) != before[n])
-
-
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
     return {n: p.data.copy() for n, p in params.items()}
 
@@ -108,89 +107,120 @@ def _restore(params: dict[str, Parameter], snap: dict[str, np.ndarray]) -> None:
         params[n].data = arr.copy()
 
 
-class _Best:
-    """Arg-best tracker over {initial state} plus every epoch end."""
-
-    def __init__(self, higher_better: bool):
-        self.higher_better = higher_better
-        self.metric: float | None = None
-        self.epoch = 0
-        self.snap: dict[str, np.ndarray] | None = None
-
-    def consider(self, epoch: int, metric: float,
-                 params: dict[str, Parameter]) -> bool:
-        better = (self.metric is None
-                  or (metric > self.metric if self.higher_better
-                      else metric < self.metric))
-        if better:
-            self.metric = metric
-            self.epoch = epoch
-            self.snap = _snapshot(params)
-        return better
+def _changed(before: dict[str, np.ndarray], after: dict[str, np.ndarray]) -> list[str]:
+    return sorted(n for n, arr in after.items() if arr.tobytes() != before[n].tobytes())
 
 
-def _valid_score(assembly: ModelAssembly, bundle: D.DatasetBundle) -> E.Score:
-    return E.score(assembly, bundle, "valid")
+Batches = Iterator[tuple[str, np.ndarray]]
 
 
-def _run_supervised(assembly: ModelAssembly, bundle: D.DatasetBundle,
-                    spec: PhaseSpec, scheduled: dict[str, Parameter],
-                    constant: dict[str, Parameter]) -> TrainLog:
-    """Minibatch training of one dataset with best-checkpoint retention."""
-    name = bundle.schema.name
-    x_num, x_cat, y = D.matrices(bundle, "train")
-    n = y.shape[0]
-    steps_per_epoch = max(1, ceil(n / spec.batch_cap))
-    total_steps = max(1, spec.epochs * steps_per_epoch)
-    trainable = {**scheduled, **constant}
+def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
+           train: dict[str, tuple], spec: PhaseSpec, log: TrainLog,
+           batches: Batches, total: int, log_every: int, keep_best: bool,
+           scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
+    """The step loop of every phase.
 
+    ``batches`` yields ``(dataset name, train row indices)`` once per step;
+    ``train`` maps each name to its (x_num, x_cat, y) matrices.  ``total``
+    is the length of the learning-rate schedule.  Every ``log_every`` steps,
+    and after step ``total``, the loop validates and logs.  With
+    ``keep_best`` it scores the one table in ``bundles`` (first before any
+    step) and retains the best state; otherwise it reports the mean over
+    ``bundles`` and retains the latest state.
+    """
+    params = {**scheduled, **constant}
     opt = AdamW([{"params": list(scheduled.values()), "lr": 0.0},
                  {"params": list(constant.values()), "lr": spec.base_lr}],
                 weight_decay=spec.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
-    log = TrainLog(phase=spec.phase, dataset=name)
+    tasks = {b.schema.name: b.schema.task for b in bundles}
+    kept = before = _snapshot(params)
+    kept_epoch, kept_metric, higher_better = 0, float("nan"), False
+    if keep_best:
+        first = E.score(assembly, bundles[0], "valid")
+        kept_metric, higher_better = first.value, first.higher_better
 
-    first = _valid_score(assembly, bundle)
-    best = _Best(first.higher_better)
-    best.consider(0, first.value, trainable)
-
-    step = 0
+    losses: list[float] = []
+    period_start = 0
+    lr_ds = 0.0
     t0 = time.perf_counter()
-    for epoch in range(1, spec.epochs + 1):
-        before = _digests(trainable)
-        order = rng.permutation(n)
-        losses = []
-        lr_ds = 0.0
-        for lo in range(0, n, spec.batch_cap):
-            idx = order[lo:lo + spec.batch_cap]
-            step += 1
-            lr_ds = lr_at(step, total_steps, spec.base_lr, spec.warmup_frac)
-            opt.groups[0]["lr"] = lr_ds
-            pred = assembly.forward(name, x_num[idx], x_cat[idx])
-            loss = compute_loss(pred, y[idx], bundle.schema.task)
-            value = loss.item()
-            if not np.isfinite(value):
-                log.diverged = True
-                _restore(trainable, best.snap)
-                log.best_epoch = best.epoch
-                log.best_metric = best.metric
-                return log
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
-            losses.append(value)
-        val = _valid_score(assembly, bundle)
-        best.consider(epoch, val.value, trainable)
+    for step, (name, idx) in enumerate(batches, start=1):
+        x_num, x_cat, y = train[name]
+        lr_ds = lr_at(step, total, spec.base_lr, spec.warmup_frac)
+        opt.groups[0]["lr"] = lr_ds
+        pred = assembly.forward(name, x_num[idx], x_cat[idx])
+        loss = compute_loss(pred, y[idx], tasks[name])
+        value = loss.item()
+        if not np.isfinite(value):
+            log.diverged = True
+            break
+        loss.backward()
+        opt.step()
+        opt.zero_grad()
+        losses.append(value)
+        if step % log_every and step != total:
+            continue
+
+        scores = [E.score(assembly, b, "valid") for b in bundles]
+        if keep_best:
+            metric, metric_name = scores[0].value, scores[0].metric
+        else:
+            metric, metric_name = float(np.mean([s.value for s in scores])), "mean_valid"
+        snap = _snapshot(params)
+        epoch = len(log.entries) + 1
         log.entries.append(LogEntry(
-            epoch=epoch, train_loss=float(np.mean(losses)),
-            valid_metric=val.value, metric_name=val.metric,
+            epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
+            valid_metric=metric, metric_name=metric_name,
             lr_dataset=lr_ds, lr_shared=spec.base_lr,
             wall_time=time.perf_counter() - t0,
-            changed_params=_changed(before, trainable)))
-    _restore(trainable, best.snap)
-    log.best_epoch = best.epoch
-    log.best_metric = best.metric
+            changed_params=_changed(before, snap)))
+        before, period_start = snap, len(losses)
+        if (not keep_best or (metric > kept_metric if higher_better
+                              else metric < kept_metric)):
+            kept, kept_epoch, kept_metric = snap, epoch, metric
+    _restore(params, kept)
+    log.best_epoch, log.best_metric = kept_epoch, kept_metric
+    log.step_losses = losses
     return log
+
+
+def _epoch_batches(name: str, n: int, spec: PhaseSpec,
+                   rng: np.random.Generator) -> Batches:
+    """One permutation of the rows per epoch, cut into batches."""
+    for _ in range(spec.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, spec.batch_cap):
+            yield name, order[lo:lo + spec.batch_cap]
+
+
+def _sampled_batches(sizes: dict[str, int], batch_cap: int, total: int,
+                     rng: np.random.Generator) -> Batches:
+    """A uniformly drawn dataset per step; each walks its own permutations."""
+    names = list(sizes)
+    orders = {n: rng.permutation(size) for n, size in sizes.items()}
+    pos = dict.fromkeys(names, 0)
+    for _ in range(total):
+        name = names[int(rng.integers(len(names)))]
+        size = sizes[name]
+        if pos[name] >= size:
+            orders[name] = rng.permutation(size)
+            pos[name] = 0
+        lo = pos[name]
+        pos[name] = min(lo + batch_cap, size)
+        yield name, orders[name][lo:pos[name]]
+
+
+def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
+             scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
+    """Epochs over one dataset, logged per epoch, best state retained."""
+    name = bundle.schema.name
+    train = {name: D.matrices(bundle, "train")}
+    n = train[name][2].shape[0]
+    steps_per_epoch = max(1, ceil(n / spec.batch_cap))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
+    return _train(assembly, [bundle], train, spec, TrainLog(phase=spec.phase, dataset=name),
+                  _epoch_batches(name, n, spec, rng),
+                  total=max(1, spec.epochs * steps_per_epoch), log_every=steps_per_epoch,
+                  keep_best=True, scheduled=scheduled, constant=constant)
 
 
 def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
@@ -200,8 +230,8 @@ def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
         raise UsageError("calibration needs a pretrained (or loaded) shared body")
     name = assembly.attach_dataset(bundle.schema.signature())
     part = assembly.partition_parameters(name)
-    log = _run_supervised(assembly, bundle, spec,
-                          scheduled=part.dataset, constant=part.shared_norm)
+    log = _fit_one(assembly, bundle, spec,
+                   scheduled=part.dataset, constant=part.shared_norm)
     assembly.dataset_phase[name] = "calibrate"
     return log
 
@@ -213,8 +243,8 @@ def refine(assembly: ModelAssembly, bundle: D.DatasetBundle,
     if assembly.dataset_phase.get(name) != "calibrate":
         raise UsageError(f"refinement requires calibration of {name!r} first")
     part = assembly.partition_parameters(name)
-    log = _run_supervised(assembly, bundle, spec,
-                          scheduled=part.dataset, constant=part.shared)
+    log = _fit_one(assembly, bundle, spec,
+                   scheduled=part.dataset, constant=part.shared)
     assembly.dataset_phase[name] = "refine"
     return log
 
@@ -226,8 +256,8 @@ def train_from_scratch(assembly: ModelAssembly, bundle: D.DatasetBundle,
     if name not in assembly.datasets:
         assembly.attach_dataset(bundle.schema.signature())
     part = assembly.partition_parameters(name)
-    log = _run_supervised(assembly, bundle, spec,
-                          scheduled=part.dataset, constant=part.shared)
+    log = _fit_one(assembly, bundle, spec,
+                   scheduled=part.dataset, constant=part.shared)
     assembly.dataset_phase[name] = "scratch"
     return log
 
@@ -238,7 +268,9 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
 
     ``steps_total`` defaults to spec.epochs * sum_i ceil(rows_i / batch_cap),
     which makes the expected per-dataset epoch count equal spec.epochs for
-    same-sized datasets.
+    same-sized datasets.  The run is logged every
+    ``round(steps_total / spec.epochs)`` steps and after the last one; each
+    entry averages the losses of the steps since the entry before.
     """
     if not bundles:
         raise UsageError("pretraining needs at least one dataset")
@@ -246,76 +278,20 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
         if b.schema.name not in assembly.datasets:
             raise UsageError(f"attach {b.schema.name!r} before pretraining")
 
-    mats = {b.schema.name: D.matrices(b, "train") for b in bundles}
-    names = [b.schema.name for b in bundles]
-    by_name = {b.schema.name: b for b in bundles}
-    steps_per_epoch = sum(ceil(m[2].shape[0] / spec.batch_cap)
-                          for m in mats.values())
+    train = {b.schema.name: D.matrices(b, "train") for b in bundles}
+    sizes = {n: m[2].shape[0] for n, m in train.items()}
+    steps_per_epoch = sum(ceil(size / spec.batch_cap) for size in sizes.values())
     total = steps_total if steps_total is not None else spec.epochs * steps_per_epoch
     if total <= 0:
         raise UsageError("pretraining needs a positive step count")
-    log_every = max(1, round(total / max(spec.epochs, 1)))
 
-    all_params = assembly.parameters()
-    ds_params = {n: p for n, p in all_params.items() if n.startswith("datasets.")}
-    shared_params = {n: p for n, p in all_params.items()
-                     if not n.startswith("datasets.")}
-    opt = AdamW([{"params": list(ds_params.values()), "lr": 0.0},
-                 {"params": list(shared_params.values()), "lr": spec.base_lr}],
-                weight_decay=spec.weight_decay)
-
+    params = assembly.parameters()
+    ds_params = {n: p for n, p in params.items() if n.startswith("datasets.")}
+    shared_params = {n: p for n, p in params.items() if not n.startswith("datasets.")}
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
-    cursors = {n: {"order": rng.permutation(mats[n][2].shape[0]), "pos": 0}
-               for n in names}
-
-    def next_batch(n: str) -> np.ndarray:
-        cur = cursors[n]
-        size = mats[n][2].shape[0]
-        if cur["pos"] >= size:
-            cur["order"] = rng.permutation(size)
-            cur["pos"] = 0
-        lo = cur["pos"]
-        hi = min(lo + spec.batch_cap, size)
-        cur["pos"] = hi
-        return cur["order"][lo:hi]
-
-    log = TrainLog(phase="pretrain")
-    losses: list[float] = []
-    good = _snapshot(all_params)
-    before = _digests(all_params)
-    t0 = time.perf_counter()
-    epoch = 0
-    lr_ds = 0.0
-    for step in range(1, total + 1):
-        name = names[int(rng.integers(len(names)))]
-        x_num, x_cat, y = mats[name]
-        idx = next_batch(name)
-        lr_ds = lr_at(step, total, spec.base_lr, spec.warmup_frac)
-        opt.groups[0]["lr"] = lr_ds
-        pred = assembly.forward(name, x_num[idx], x_cat[idx])
-        loss = compute_loss(pred, y[idx], by_name[name].schema.task)
-        value = loss.item()
-        if not np.isfinite(value):
-            log.diverged = True
-            _restore(all_params, good)
-            break
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
-        losses.append(value)
-        if step % log_every == 0 or step == total:
-            epoch += 1
-            window = losses[-log_every:]
-            vals = [_valid_score(assembly, by_name[n]).value for n in names]
-            log.entries.append(LogEntry(
-                epoch=epoch, train_loss=float(np.mean(window)),
-                valid_metric=float(np.mean(vals)), metric_name="mean_valid",
-                lr_dataset=lr_ds, lr_shared=spec.base_lr,
-                wall_time=time.perf_counter() - t0,
-                changed_params=_changed(before, all_params)))
-            before = _digests(all_params)
-            good = _snapshot(all_params)
+    log = _train(assembly, bundles, train, spec, TrainLog(phase="pretrain"),
+                 _sampled_batches(sizes, spec.batch_cap, total, rng),
+                 total=total, log_every=max(1, round(total / max(spec.epochs, 1))),
+                 keep_best=False, scheduled=ds_params, constant=shared_params)
     assembly.provenance = "pretrain"
-    log.best_epoch = epoch
-    log.step_losses = losses
     return log

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from metafn import tensor as T
-from metafn.calinear import (CaLinear, calinear_ffn_forward,
-                             make_direct_coefficient_variant)
+from metafn.calinear import CaLinear, calinear_ffn_forward
 from metafn.errors import DimensionError
 from metafn.gradcheck import check_gradients
-from metafn.nn import Parameter, apply_linear
-from metafn.tensor import Tensor
+from metafn.model import DatasetSignature, ModelAssembly, ModelConfig
+from metafn.nn import Parameter
+from metafn.tensor import Tensor, no_grad
 
 
 def brute_force_mixture(z, weights, biases, coeffs):
@@ -72,7 +72,7 @@ def test_single_basis_equals_plain_linear():
     c = layer.coefficients(Tensor(rng.standard_normal(5)))
     np.testing.assert_allclose(c.data, np.ones((5, 1)), atol=0)
     out = layer.forward(z, c).data
-    plain = apply_linear(z, Tensor(layer.weight.data[0]), Tensor(layer.bias.data[0])).data
+    plain = T.linear(z, Tensor(layer.weight.data[0]), Tensor(layer.bias.data[0])).data
     np.testing.assert_allclose(out, plain, atol=1e-12)
 
 
@@ -200,32 +200,52 @@ def test_ffn_width_mismatch():
         calinear_ffn_forward(lin1, lin2, Tensor(np.zeros((1, 1, 2))), ones, ones)
 
 
+def tiny_assembly(mode="direct", n_blocks=2, n_features=4, seed=29):
+    cfg = ModelConfig(d=8, n_blocks=n_blocks, n_heads=2, n_basis=4, d_ffn=6,
+                      cal_hidden=4, mode=mode)
+    asm = ModelAssembly(cfg, seed=seed)
+    asm.attach_dataset(DatasetSignature("t", "regression", ("numeric",) * n_features, ()))
+    return asm
+
+
 def test_direct_variant_zero_logits_uniform():
-    layer = make_layer(29, M=4)
-    variant = make_direct_coefficient_variant(layer, n_tokens=5)
-    np.testing.assert_allclose(variant.coefficients().data, np.full((5, 4), 0.25), atol=0)
+    # direct mode starts every layer's logits at zero: uniform coefficients
+    asm = tiny_assembly()
+    parts = asm.datasets["t"]
+    for idx, layer in asm.calinear_layers():
+        c = asm._ffn_coefficients(parts, idx, layer).data
+        np.testing.assert_allclose(c, np.full((5, 4), 0.25), atol=0)
 
 
 def test_direct_variant_same_coefficients_same_output():
-    layer = make_layer(30, d_in=3, d_out=2, M=4)
-    variant = make_direct_coefficient_variant(layer, n_tokens=4)
+    # logits set to the log of the MLP's coefficients reproduce the MLP-mode
+    # model: both modes run the same shared basis maps
+    mlp, direct = tiny_assembly("mlp", seed=30), tiny_assembly("direct", seed=30)
     rng = np.random.default_rng(31)
-    variant.logits.data = rng.standard_normal((4, 4))
-    c = variant.coefficients()
-    z = Tensor(rng.standard_normal((2, 4, 3)))
-    np.testing.assert_array_equal(variant.forward(z, c).data, layer.forward(z, c).data)
+    mlp.datasets["t"].context.data = rng.standard_normal(5)
+    for idx, layer in mlp.calinear_layers():
+        c = mlp._ffn_coefficients(mlp.datasets["t"], idx, layer).data
+        direct.datasets["t"].coef_logits[idx].data = np.log(c)
+    x_num, x_cat = rng.standard_normal((3, 4)), np.empty((3, 0), dtype=np.int64)
+    with no_grad():
+        want = mlp.forward("t", x_num, x_cat).data
+        got = direct.forward("t", x_num, x_cat).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_direct_variant_parameter_count_arithmetic():
     # T=5 tokens, M=4: each direct layer owns 20 logits; MLP mode needs only
     # the 5 context scalars shared by all layers (8 layers in a 4-block model).
-    layer = make_layer(32, M=4)
-    variant = make_direct_coefficient_variant(layer, n_tokens=5)
-    assert variant.logits.size == 20
-    n_layers = 8
-    direct_total = n_layers * variant.logits.size
-    mlp_mode_total = 5
-    assert (direct_total, mlp_mode_total) == (160, 5)
+    direct = tiny_assembly(n_blocks=4)
+    logits = direct.datasets["t"].coef_logits
+    assert len(logits) == 8 and all(p.size == 20 for p in logits)
+    mlp = tiny_assembly("mlp", n_blocks=4)
+
+    def coefficient_source_size(asm):
+        return sum(p.size for n, p in asm.parameters().items()
+                   if n.startswith("datasets.t.coeffs.") or n == "datasets.t.context")
+
+    assert (coefficient_source_size(direct), coefficient_source_size(mlp)) == (160, 5)
 
 
 def test_shape_validation():

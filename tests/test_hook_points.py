@@ -1,0 +1,59 @@
+"""The names through which the training path reaches its layers.
+
+An external profiler (``perfbench/tracing.py``) times the library by
+replacing module attributes: ``model.layer_norm``, ``model.self_attention``,
+``model.calinear_ffn_forward``, ``training.compute_loss``, ``training.AdamW``
+and ``evaluate.score``.  If a refactor stops calling one of them through that
+attribute, its spans go silent without any error; these tests catch that.
+"""
+
+import functools
+
+import pytest
+
+from metafn import data as D
+from metafn import evaluate as E
+from metafn import model as M
+from metafn import training as TR
+from metafn import workflow as W
+from metafn.checkpoint import load_shared
+from metafn.model import ModelAssembly, ModelConfig
+
+CFG = ModelConfig(d=8, n_blocks=2, n_heads=2, n_basis=2, d_ffn=6, cal_hidden=4)
+SUITE_SPEC = D.SynthSuiteSpec(seed=3, n_basis_functions=2, n_pretrain=2,
+                              rows_per_dataset=100, n_features=3, noise_std=0.1,
+                              n_heldout=1, heldout_rows=100, hidden=4)
+HOOKS = [(M, "layer_norm"), (M, "self_attention"), (M, "calinear_ffn_forward"),
+         (TR, "compute_loss"), (TR, "AdamW"), (E, "score")]
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    seen = {}
+    for owner, name in HOOKS:
+        key = f"{owner.__name__}.{name}"
+        seen[key] = 0
+
+        def make(fn, key=key):
+            @functools.wraps(fn)
+            def counting(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    return seen
+
+
+def test_pretrain_and_calibrate_call_every_hook_point(counts):
+    suite = D.generate_synth_suite(SUITE_SPEC)
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    _, shared, _ = W.pretrain_suite(CFG, bundles, TR.PhaseSpec("pretrain", epochs=1), 0)
+    assert all(counts.values()), counts
+
+    counts.update(dict.fromkeys(counts, 0))
+    asm = ModelAssembly(CFG, seed=1)
+    load_shared(asm, shared)
+    bundle = D.prepare(suite.heldout[0], split_seed=0, setting="T-100")
+    TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=1))
+    assert all(counts.values()), counts

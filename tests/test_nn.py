@@ -8,49 +8,51 @@ from metafn.tensor import Tensor
 
 
 def test_apply_linear_identity():
-    out = nn.apply_linear(Tensor([1.0, 2.0]).reshape(1, 2),
-                          Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+    out = T.linear(Tensor([1.0, 2.0]).reshape(1, 2),
+                   Tensor(np.eye(2)), Tensor([0.0, 0.0]))
     np.testing.assert_allclose(out.data, [[1.0, 2.0]])
 
 
 def test_apply_linear_direct_arithmetic():
     # [1,2] @ [[1],[1]] + [3] = 1 + 2 + 3 = 6
-    out = nn.apply_linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([3.0]))
+    out = T.linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([3.0]))
     np.testing.assert_allclose(out.data, [[6.0]])
 
 
 def test_apply_linear_zero_input_passes_bias():
     rng = np.random.default_rng(0)
-    out = nn.apply_linear(Tensor([[0.0, 0.0]]),
-                          Tensor(rng.standard_normal((2, 2))),
-                          Tensor([5.0, -5.0]))
+    out = T.linear(Tensor([[0.0, 0.0]]),
+                   Tensor(rng.standard_normal((2, 2))),
+                   Tensor([5.0, -5.0]))
     np.testing.assert_allclose(out.data, [[5.0, -5.0]])
 
 
 def test_apply_linear_shape_error():
     with pytest.raises(DimensionError):
-        nn.apply_linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+        T.linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0, 0.0]))
 
 
 def test_layer_norm_examples():
     g = Tensor([1.0, 1.0])
     b = Tensor([0.0, 0.0])
-    out = nn.layer_norm(Tensor([[1.0, 3.0]]), g, b, eps=1e-12)
+    out = T.layer_norm(Tensor([[1.0, 3.0]]), g, b, eps=1e-12)
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
-    const = nn.layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)),
-                          Tensor(np.zeros(3)), eps=1e-5)
+    const = T.layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)),
+                         Tensor(np.zeros(3)), eps=1e-5)
     np.testing.assert_allclose(const.data, np.zeros((1, 3)), atol=1e-12)
 
-    forced = nn.layer_norm(Tensor([[1.0, 3.0]]), Tensor([0.0, 0.0]), Tensor([7.0, 7.0]))
+    forced = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([0.0, 0.0]), Tensor([7.0, 7.0]))
     np.testing.assert_allclose(forced.data, [[7.0, 7.0]])
 
 
 def test_layer_norm_errors():
     with pytest.raises(ConfigError):
-        nn.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
+        T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
     with pytest.raises(DimensionError):
-        nn.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+        T.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
 
 def _attn(seed, d=8, heads=2):

@@ -115,7 +115,7 @@ def test_fused_linear_and_layernorm_gradients_100_seeds():
         def graph(xv, wv, bv, gv, betv):
             tx, tw, tb = Tensor(xv, True), Tensor(wv, True), Tensor(bv, True)
             tg, tbe = Tensor(gv, True), Tensor(betv, True)
-            out = T.layer_norm_op(T.linear(tx, tw, tb), tg, tbe, eps=1e-5)
+            out = T.layer_norm(T.linear(tx, tw, tb), tg, tbe, eps=1e-5)
             return T.tsum(out * mix), (tx, tw, tb, tg, tbe)
 
         loss, tensors = graph(x, w, b, gamma, beta)
@@ -150,6 +150,27 @@ def test_gather_and_concat_gradients():
             return float((T.tsum(r * w) + T.tsum(bo * w2)).data)
 
         assert rel_err(t.grad, numeric_grad(f, table.copy())) <= 1e-4
+
+
+def test_linear_bias_is_optional_and_fuses_bitwise():
+    # x @ w + b in one node equals the bias-free product plus a separate add,
+    # bit for bit, in the output and in every gradient
+    rng = np.random.default_rng(11)
+    x, w, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 6)), rng.standard_normal(6)
+    mix = rng.standard_normal((3, 4, 6))
+
+    def run(fused):
+        tx, tw, tb = Tensor(x, True), Tensor(w, True), Tensor(b, True)
+        out = T.linear(tx, tw, tb) if fused else T.linear(tx, tw) + tb
+        T.tsum(out * mix).backward()
+        return out.data, tx.grad, tw.grad, tb.grad
+
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(T.linear(Tensor(x), Tensor(w)).data,
+                                  (x.reshape(12, 5) @ w).reshape(3, 4, 6))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(x), Tensor(w[None]))
 
 
 def test_softmax_simplex_and_stability():

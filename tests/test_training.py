@@ -242,3 +242,100 @@ def test_lr_groups_in_supervised_loop(suite):
         assert e.lr_shared == spec.base_lr
         assert e.lr_dataset == pytest.approx(
             lr_at(e.epoch, total, spec.base_lr, spec.warmup_frac))
+
+
+def test_pretrain_log_entry_averages_only_its_own_steps(suite):
+    # 5 steps logged twice over: log points after steps 2, 4 and 5
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    asm = ModelAssembly(CFG, seed=0)
+    for b in bundles:
+        asm.attach_dataset(b.schema.signature())
+    log = TR.pretrain(asm, bundles, TR.PhaseSpec("pretrain", epochs=2, seed=0),
+                      steps_total=5)
+    losses = log.step_losses
+    assert len(losses) == 5
+    assert [e.epoch for e in log.entries] == [1, 2, 3]
+    assert [e.train_loss for e in log.entries] == [
+        float(np.mean(losses[0:2])), float(np.mean(losses[2:4])), float(np.mean(losses[4:5]))]
+
+
+def nan_loss_on_call(monkeypatch, k, before_nan):
+    """Make the k-th ``compute_loss`` call of the training loop return NaN.
+
+    ``before_nan()`` runs just before that call's NaN is returned.
+    """
+    real = TR.compute_loss
+    calls = []
+
+    def fake(pred, y, task):
+        calls.append(1)
+        loss = real(pred, y, task)
+        if len(calls) != k:
+            return loss
+        before_nan()
+        return loss * float("nan")
+
+    monkeypatch.setattr(TR, "compute_loss", fake)
+
+
+def params_of(asm):
+    return {n: p.data.copy() for n, p in asm.parameters().items()}
+
+
+def test_pretrain_divergence_restores_last_log_point(suite, monkeypatch):
+    from metafn import evaluate as E
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    asm = ModelAssembly(CFG, seed=0)
+    for b in bundles:
+        asm.attach_dataset(b.schema.signature())
+    at_validation, at_nan = [], []
+    real_score = E.score
+
+    def spy(assembly, bundle, split):
+        at_validation.append(params_of(assembly))
+        return real_score(assembly, bundle, split)
+
+    monkeypatch.setattr(E, "score", spy)
+    spec = TR.PhaseSpec("pretrain", epochs=4, seed=0)
+    log_every = 3   # 12 steps logged 4 times
+    nan_loss_on_call(monkeypatch, 2 * log_every + 2, lambda: at_nan.append(params_of(asm)))
+    log = TR.pretrain(asm, bundles, spec, steps_total=4 * log_every)
+
+    assert log.diverged
+    assert len(log.step_losses) == 2 * log_every + 1
+    assert len(log.entries) == 2
+    assert (log.best_epoch, log.best_metric) == (2, log.entries[-1].valid_metric)
+    last_log_point = at_validation[-1]
+    assert any(not np.array_equal(at_nan[0][n], a) for n, a in last_log_point.items())
+    for n, p in asm.parameters().items():
+        np.testing.assert_array_equal(p.data, last_log_point[n])
+    assert asm.provenance == "pretrain"
+
+
+def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
+    from metafn import evaluate as E
+    _, shared, _ = pretrained(suite, epochs=2, seed=6)
+    bundle = D.prepare(suite.heldout[0], split_seed=6, setting="T-100")
+    asm = ModelAssembly(CFG, seed=88)
+    load_shared(asm, shared)
+    # one step per epoch at T-100; the validation metric is scripted so that
+    # epoch 2 is the best candidate and the initial state is not
+    scripted = [1.0, 0.9, 0.5, 0.7, 0.8, 0.6]
+    at_validation, at_nan = [], []
+
+    def fake_score(assembly, b, split):
+        at_validation.append(params_of(assembly))
+        return E.Score(scripted[len(at_validation) - 1], "mse", False)
+
+    monkeypatch.setattr(E, "score", fake_score)
+    nan_loss_on_call(monkeypatch, 6, lambda: at_nan.append(params_of(asm)))
+    log = TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=8, seed=6))
+
+    assert log.diverged
+    assert [e.valid_metric for e in log.entries] == scripted[1:]
+    assert (log.best_epoch, log.best_metric) == (2, 0.5)
+    trainable = asm.partition_parameters(bundle.schema.name).calibratable
+    best = at_validation[2]
+    assert any(not np.array_equal(at_nan[0][n], best[n]) for n in trainable)
+    for n in trainable:
+        np.testing.assert_array_equal(asm.parameters()[n].data, best[n])
