@@ -180,7 +180,7 @@ def load_shared(assembly: ModelAssembly, ckpt: Checkpoint) -> None:
 
 
 def assembly_from_checkpoint(ckpt: Checkpoint, seed: int = 0) -> ModelAssembly:
-    """Rebuild a full assembly (shared body + attached datasets) bitwise."""
+    """Rebuild a full assembly bitwise, each dataset marked with the checkpoint's phase."""
     assembly = ModelAssembly(ckpt.config, seed=seed)
     for sig in ckpt.datasets.values():
         assembly.attach_dataset(sig)
@@ -196,4 +196,5 @@ def assembly_from_checkpoint(ckpt: Checkpoint, seed: int = 0) -> ModelAssembly:
             raise CheckpointError(f"shape mismatch for entry {name!r}")
         p.data = arrays[name].copy()
     assembly.provenance = ckpt.phase
+    assembly.dataset_phase = dict.fromkeys(ckpt.datasets, ckpt.phase)
     return assembly

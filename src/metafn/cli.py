@@ -7,6 +7,9 @@ report.  Exit codes: 0 success, 1 runtime/training failure, 2 usage or
 configuration error.  Logs go to stderr; artifacts go to the output
 directory, each accompanied by a provenance record (command, config
 hash, seed).
+
+Each command runs the ``workflow`` phase functions, so the CLI and the
+library give the same numbers from the same state.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 from . import data as D
 from . import evaluate as E
 from . import training as TR
-from .checkpoint import Checkpoint, assembly_from_checkpoint, load_shared, save_checkpoint
+from . import workflow as W
+from .checkpoint import Checkpoint, assembly_from_checkpoint, checkpoint_from_assembly
 from .config import RunConfig
 from .errors import ConfigError, MetafnError, UsageError
 from .model import ModelAssembly
@@ -49,17 +53,37 @@ def _suite(cfg: RunConfig, out: Path) -> D.SynthSuite:
     return D.generate_synth_suite(cfg.synth_spec())
 
 
-def _task_bundles(cfg: RunConfig, suite: D.SynthSuite) -> list[D.DatasetBundle]:
-    bundles = list(suite.heldout)
-    for entry in cfg.raw["data"]["tasks"]:
-        bundles.append(D.load_csv(entry["csv"], entry["manifest"]))
-    return bundles
+def _tasks(cfg: RunConfig, out: Path):
+    """Yield (setting, prepared task, task directory) for every task and setting."""
+    raws = list(_suite(cfg, out).heldout)
+    raws += [D.load_csv(entry["csv"], entry["manifest"])
+             for entry in cfg.raw["data"]["tasks"]]
+    for raw in raws:
+        for setting in cfg.settings:
+            bundle = D.prepare(raw, split_seed=cfg.seed, setting=setting)
+            task_dir = out / "tasks" / bundle.schema.name / setting
+            task_dir.mkdir(parents=True, exist_ok=True)
+            yield setting, bundle, task_dir
 
 
-def _task_dir(out: Path, task: str, setting: str) -> Path:
-    d = out / "tasks" / task / setting
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _checkpoint(path: Path, command: str) -> Checkpoint:
+    """Load a checkpoint an earlier command wrote; its absence is a usage error."""
+    if not path.exists():
+        raise UsageError(f"missing checkpoint {path}; run {command} first")
+    return Checkpoint.load(path)
+
+
+def _save_task(cfg: RunConfig, phase: str, assembly: ModelAssembly, log: TR.TrainLog,
+               task_dir: Path, setting: str) -> None:
+    """Write a calibrate/refine result: <phase>d.ckpt, its log, provenance."""
+    path = task_dir / f"{phase}d.ckpt"
+    checkpoint_from_assembly(assembly, phase).save(path)
+    log_path = task_dir / f"{phase}.log.jsonl"
+    log.to_jsonl(log_path)
+    _provenance(cfg, phase, path)
+    _provenance(cfg, phase, log_path)
+    _log(f"{phase}d {log.dataset} [{setting}] "
+         f"best epoch {log.best_epoch} metric {log.best_metric:.4f}")
 
 
 def cmd_gen_synth(cfg: RunConfig, out: Path) -> None:
@@ -72,15 +96,11 @@ def cmd_gen_synth(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_pretrain(cfg: RunConfig, out: Path) -> None:
-    suite = _suite(cfg, out)
-    bundles = [D.prepare(b, split_seed=cfg.seed) for b in suite.pretrain]
-    assembly = ModelAssembly(cfg.model_config(), seed=cfg.seed)
-    for b in bundles:
-        assembly.attach_dataset(b.schema.signature())
-    spec = cfg.phase_spec("pretrain")
-    log = TR.pretrain(assembly, bundles, spec)
+    bundles = W.prepare_pretrain_bundles(_suite(cfg, out), cfg.seed)
+    _, ckpt, log = W.pretrain_suite(cfg.model_config(), bundles,
+                                    cfg.phase_spec("pretrain"), cfg.seed)
     ckpt_path = out / "pretrained.ckpt"
-    save_checkpoint(assembly, ckpt_path, phase="pretrain")
+    ckpt.save(ckpt_path)
     log.to_jsonl(out / "pretrain.log.jsonl")
     _provenance(cfg, "pretrain", ckpt_path)
     _provenance(cfg, "pretrain", out / "pretrain.log.jsonl")
@@ -89,70 +109,34 @@ def cmd_pretrain(cfg: RunConfig, out: Path) -> None:
         raise MetafnError("pretraining diverged; kept the last good checkpoint")
 
 
-def _prepared_task(cfg: RunConfig, bundle: D.DatasetBundle, setting: str) -> D.DatasetBundle:
-    return D.prepare(bundle.copy_shallow(), split_seed=cfg.seed, setting=setting)
-
-
 def cmd_calibrate(cfg: RunConfig, out: Path) -> None:
-    shared = Checkpoint.load(out / "pretrained.ckpt")
-    suite = _suite(cfg, out)
-    for raw in _task_bundles(cfg, suite):
-        for setting in cfg.settings:
-            bundle = _prepared_task(cfg, raw, setting)
-            assembly = ModelAssembly(cfg.model_config(), seed=cfg.seed)
-            load_shared(assembly, shared)
-            log = TR.calibrate(assembly, bundle, cfg.phase_spec("calibrate", setting))
-            tdir = _task_dir(out, bundle.schema.name, setting)
-            path = tdir / "calibrated.ckpt"
-            save_checkpoint(assembly, path, phase="calibrate")
-            log.to_jsonl(tdir / "calibrate.log.jsonl")
-            _provenance(cfg, "calibrate", path)
-            _provenance(cfg, "calibrate", tdir / "calibrate.log.jsonl")
-            _log(f"calibrated {bundle.schema.name} [{setting}] "
-                 f"best epoch {log.best_epoch} metric {log.best_metric:.4f}")
+    shared = _checkpoint(out / "pretrained.ckpt", "pretrain")
+    for setting, bundle, task_dir in _tasks(cfg, out):
+        assembly, log = W.calibrate_task(cfg.model_config(), shared, bundle,
+                                         cfg.phase_spec("calibrate", setting), cfg.seed)
+        _save_task(cfg, "calibrate", assembly, log, task_dir, setting)
 
 
 def cmd_refine(cfg: RunConfig, out: Path) -> None:
-    suite = _suite(cfg, out)
-    for raw in _task_bundles(cfg, suite):
-        for setting in cfg.settings:
-            tdir = _task_dir(out, raw.schema.name, setting)
-            src = tdir / "calibrated.ckpt"
-            if not src.exists():
-                raise UsageError(f"run calibrate first: {src} is missing")
-            bundle = _prepared_task(cfg, raw, setting)
-            assembly = assembly_from_checkpoint(Checkpoint.load(src), seed=cfg.seed)
-            assembly.dataset_phase[bundle.schema.name] = "calibrate"
-            log = TR.refine(assembly, bundle, cfg.phase_spec("refine", setting))
-            path = tdir / "refined.ckpt"
-            save_checkpoint(assembly, path, phase="refine")
-            log.to_jsonl(tdir / "refine.log.jsonl")
-            _provenance(cfg, "refine", path)
-            _provenance(cfg, "refine", tdir / "refine.log.jsonl")
-            _log(f"refined {bundle.schema.name} [{setting}] "
-                 f"best epoch {log.best_epoch} metric {log.best_metric:.4f}")
+    for setting, bundle, task_dir in _tasks(cfg, out):
+        ckpt = _checkpoint(task_dir / "calibrated.ckpt", "calibrate")
+        assembly = assembly_from_checkpoint(ckpt, seed=cfg.seed)
+        log = TR.refine(assembly, bundle, cfg.phase_spec("refine", setting))
+        _save_task(cfg, "refine", assembly, log, task_dir, setting)
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    suite = _suite(cfg, out)
     methods = ["calibrated", "refined"]
     table = E.ScoreTable(methods)
-    for raw in _task_bundles(cfg, suite):
-        for setting in cfg.settings:
-            tdir = _task_dir(out, raw.schema.name, setting)
-            bundle = _prepared_task(cfg, raw, setting)
-            scores = {}
-            metric = None
-            for method in methods:
-                path = tdir / f"{method}.ckpt"
-                if not path.exists():
-                    raise UsageError(f"missing checkpoint {path}; run {method[:-1]} first")
-                assembly = assembly_from_checkpoint(Checkpoint.load(path), seed=cfg.seed)
-                s = E.score(assembly, bundle, "test")
-                scores[method] = s.value
-                metric = s
-            table.add_row(f"{bundle.schema.name}|{setting}", metric.metric,
-                          metric.higher_better, scores)
+    for setting, bundle, task_dir in _tasks(cfg, out):
+        scores = {}
+        for method in methods:
+            ckpt = _checkpoint(task_dir / f"{method}.ckpt", method[:-1])
+            scores[method] = E.score(assembly_from_checkpoint(ckpt, seed=cfg.seed),
+                                     bundle, "test")
+        any_score = scores["refined"]
+        table.add_row(f"{bundle.schema.name}|{setting}", any_score.metric,
+                      any_score.higher_better, {m: s.value for m, s in scores.items()})
     path = out / "scores.json"
     path.write_text(json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -161,10 +145,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_export_coeffs(cfg: RunConfig, out: Path) -> None:
-    ckpt_path = out / "pretrained.ckpt"
-    if not ckpt_path.exists():
-        raise UsageError(f"missing checkpoint {ckpt_path}; run pretrain first")
-    assembly = assembly_from_checkpoint(Checkpoint.load(ckpt_path), seed=cfg.seed)
+    ckpt = _checkpoint(out / "pretrained.ckpt", "pretrain")
+    assembly = assembly_from_checkpoint(ckpt, seed=cfg.seed)
     path = out / "coefficients.json"
     E.export_coefficients(assembly, sorted(assembly.datasets), path,
                           phase="pretrained")

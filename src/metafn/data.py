@@ -473,17 +473,22 @@ def _synth_bundle(name: str, suite_spec: SynthSuiteSpec, basis: list[BasisFuncti
                          true_mixture=w)
 
 
+def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
+    """The shared basis, from the suite seed's first two children (as generated)."""
+    probe_key, basis_key = np.random.SeedSequence(spec.seed).spawn(2)
+    probe = np.random.default_rng(probe_key).standard_normal((4096, spec.n_features))
+    basis_rng = np.random.default_rng(basis_key)
+    return [BasisFunction(basis_rng, spec.n_features, spec.hidden, probe,
+                          spec.curvature, spec.structure)
+            for _ in range(spec.n_basis_functions)]
+
+
 def generate_synth_suite(spec: SynthSuiteSpec) -> SynthSuite:
     """Deterministically build pretraining and held-out bundles from the spec."""
     if spec.n_basis_functions < 2 or spec.n_pretrain < 2:
         raise UsageError("the suite needs at least 2 basis functions and 2 datasets")
-    root = np.random.SeedSequence(spec.seed)
-    keys = root.spawn(2 + spec.n_pretrain + spec.n_heldout)
-    probe = np.random.default_rng(keys[0]).standard_normal((4096, spec.n_features))
-    basis_rng = np.random.default_rng(keys[1])
-    basis = [BasisFunction(basis_rng, spec.n_features, spec.hidden, probe,
-                           spec.curvature, spec.structure)
-             for _ in range(spec.n_basis_functions)]
+    basis = _basis_functions(spec)
+    keys = np.random.SeedSequence(spec.seed).spawn(2 + spec.n_pretrain + spec.n_heldout)
     pretrain = [
         _synth_bundle(f"synth_pre_{i:02d}", spec, basis, spec.rows_per_dataset,
                       np.random.default_rng(keys[2 + i]))
@@ -519,7 +524,6 @@ def load_suite(suite_dir) -> SynthSuite:
     except FileNotFoundError:
         raise DataError(f"{suite_dir}: not a suite directory (missing suite.json)") from None
     spec = SynthSuiteSpec.from_dict(meta["spec"])
-    regenerated = generate_synth_suite(spec)
 
     def read(sub):
         out = []
@@ -532,4 +536,4 @@ def load_suite(suite_dir) -> SynthSuite:
             out.append(b)
         return out
 
-    return SynthSuite(spec, regenerated.basis, read("pretrain"), read("heldout"))
+    return SynthSuite(spec, _basis_functions(spec), read("pretrain"), read("heldout"))

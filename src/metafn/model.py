@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,27 +163,22 @@ class FeatureTokenizer:
                 raise DataError(f"categorical index out of range in column {j} "
                                 f"of dataset {sig.name!r}")
 
-        cls = T.broadcast_to(self.cls.reshape(1, 1, self.d), (B, 1, self.d))
-        if sig.n_categorical == 0:
+        tokens = [T.broadcast_to(self.cls.reshape(1, 1, self.d), (B, 1, self.d))]
+        if sig.n_numeric:
             numeric = Tensor(x_num.reshape(B, sig.n_numeric, 1)) * self.num_weight \
                 + self.num_bias
-            return T.concat([cls, numeric], axis=1)
-
-        numeric_block = None
-        if sig.n_numeric:
-            numeric_block = Tensor(x_num.reshape(B, sig.n_numeric, 1)) * self.num_weight \
-                + self.num_bias
-        pieces = [cls]
         i_num = i_cat = 0
-        for kind in sig.feature_kinds:
+        for kind, run in itertools.groupby(sig.feature_kinds):
+            n = len(tuple(run))
             if kind == "numeric":
-                pieces.append(numeric_block[:, i_num:i_num + 1, :])
-                i_num += 1
-            else:
-                rows = T.gather_rows(self.cat_tables[i_cat], x_cat[:, i_cat])
-                pieces.append((rows + self.cat_biases[i_cat]).reshape(B, 1, self.d))
-                i_cat += 1
-        return T.concat(pieces, axis=1)
+                tokens.append(numeric[:, i_num:i_num + n, :])
+                i_num += n
+                continue
+            for j in range(i_cat, i_cat + n):
+                rows = T.gather_rows(self.cat_tables[j], x_cat[:, j])
+                tokens.append((rows + self.cat_biases[j]).reshape(B, 1, self.d))
+            i_cat += n
+        return T.concat(tokens, axis=1)
 
 
 class OutputHead:
@@ -347,14 +343,6 @@ class ModelAssembly:
             self._register(p)
         self.datasets[sig.name] = parts
         return sig.name
-
-    def detach_dataset(self, name: str) -> None:
-        parts = self.datasets.pop(name, None)
-        if parts is None:
-            raise UsageError(f"dataset {name!r} is not attached")
-        for p in parts.parameters():
-            del self._registry[p.name]
-        self.dataset_phase.pop(name, None)
 
     def _parts(self, name: str) -> DatasetParts:
         parts = self.datasets.get(name)

@@ -49,6 +49,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
+    Only a tensor with ``requires_grad`` set collects a gradient, and an op
+    joins the graph only if one of its inputs does; clearing the flag on a
+    parameter freezes it.
+
     ``Tensor(data)`` validates that the payload is finite; internal op
     results skip that check for speed (training loops check losses and
     gradients at the points where divergence is actionable).
@@ -106,7 +110,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        self.grad = g if self.grad is None else self.grad + g
+        if self.requires_grad:
+            self.grad = g if self.grad is None else self.grad + g
 
     # -- autodiff -----------------------------------------------------------
 

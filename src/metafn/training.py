@@ -19,6 +19,10 @@ for the state it retains:
 
 A non-finite loss stops the loop and restores the retained state.
 
+While the loop runs only the parameters the phase trains have
+``requires_grad`` set, so no other parameter takes a gradient; the flags
+are restored when the phase ends, also when it raises.
+
 Dataset-specific parameters follow the warmup/decay schedule; shared
 parameters train at the constant base rate.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator
@@ -93,10 +98,6 @@ class TrainLog:
             for e in self.entries:
                 fh.write(json.dumps(e.to_dict(), sort_keys=True) + "\n")
 
-    @property
-    def train_losses(self) -> list[float]:
-        return [e.train_loss for e in self.entries]
-
 
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
     return {n: p.data.copy() for n, p in params.items()}
@@ -109,6 +110,20 @@ def _restore(params: dict[str, Parameter], snap: dict[str, np.ndarray]) -> None:
 
 def _changed(before: dict[str, np.ndarray], after: dict[str, np.ndarray]) -> list[str]:
     return sorted(n for n, arr in after.items() if arr.tobytes() != before[n].tobytes())
+
+
+@contextmanager
+def _trains_only(assembly: ModelAssembly, params: dict[str, Parameter]) -> Iterator[None]:
+    """Let exactly ``params`` collect gradients; restore every flag on exit."""
+    everything = assembly.parameters()
+    prior = {n: p.requires_grad for n, p in everything.items()}
+    for n, p in everything.items():
+        p.requires_grad = n in params
+    try:
+        yield
+    finally:
+        for n, p in everything.items():
+            p.requires_grad = prior[n]
 
 
 Batches = Iterator[tuple[str, np.ndarray]]
@@ -143,40 +158,42 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     period_start = 0
     lr_ds = 0.0
     t0 = time.perf_counter()
-    for step, (name, idx) in enumerate(batches, start=1):
-        x_num, x_cat, y = train[name]
-        lr_ds = lr_at(step, total, spec.base_lr, spec.warmup_frac)
-        opt.groups[0]["lr"] = lr_ds
-        pred = assembly.forward(name, x_num[idx], x_cat[idx])
-        loss = compute_loss(pred, y[idx], tasks[name])
-        value = loss.item()
-        if not np.isfinite(value):
-            log.diverged = True
-            break
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
-        losses.append(value)
-        if step % log_every and step != total:
-            continue
+    with _trains_only(assembly, params):
+        for step, (name, idx) in enumerate(batches, start=1):
+            x_num, x_cat, y = train[name]
+            lr_ds = lr_at(step, total, spec.base_lr, spec.warmup_frac)
+            opt.groups[0]["lr"] = lr_ds
+            pred = assembly.forward(name, x_num[idx], x_cat[idx])
+            loss = compute_loss(pred, y[idx], tasks[name])
+            value = loss.item()
+            if not np.isfinite(value):
+                log.diverged = True
+                break
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+            losses.append(value)
+            if step % log_every and step != total:
+                continue
 
-        scores = [E.score(assembly, b, "valid") for b in bundles]
-        if keep_best:
-            metric, metric_name = scores[0].value, scores[0].metric
-        else:
-            metric, metric_name = float(np.mean([s.value for s in scores])), "mean_valid"
-        snap = _snapshot(params)
-        epoch = len(log.entries) + 1
-        log.entries.append(LogEntry(
-            epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
-            valid_metric=metric, metric_name=metric_name,
-            lr_dataset=lr_ds, lr_shared=spec.base_lr,
-            wall_time=time.perf_counter() - t0,
-            changed_params=_changed(before, snap)))
-        before, period_start = snap, len(losses)
-        if (not keep_best or (metric > kept_metric if higher_better
-                              else metric < kept_metric)):
-            kept, kept_epoch, kept_metric = snap, epoch, metric
+            scores = [E.score(assembly, b, "valid") for b in bundles]
+            if keep_best:
+                metric, metric_name = scores[0].value, scores[0].metric
+            else:
+                metric = float(np.mean([s.value for s in scores]))
+                metric_name = "mean_valid"
+            snap = _snapshot(params)
+            epoch = len(log.entries) + 1
+            log.entries.append(LogEntry(
+                epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
+                valid_metric=metric, metric_name=metric_name,
+                lr_dataset=lr_ds, lr_shared=spec.base_lr,
+                wall_time=time.perf_counter() - t0,
+                changed_params=_changed(before, snap)))
+            before, period_start = snap, len(losses)
+            if (not keep_best or (metric > kept_metric if higher_better
+                                  else metric < kept_metric)):
+                kept, kept_epoch, kept_metric = snap, epoch, metric
     _restore(params, kept)
     log.best_epoch, log.best_metric = kept_epoch, kept_metric
     log.step_losses = losses

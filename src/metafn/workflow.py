@@ -72,15 +72,20 @@ def pretrain_suite(cfg: ModelConfig, bundles: list[D.DatasetBundle],
     return assembly, checkpoint_from_assembly(assembly, "pretrain"), log
 
 
+def calibrate_task(cfg: ModelConfig, shared: Checkpoint, bundle: D.DatasetBundle,
+                   spec: TR.PhaseSpec, model_seed: int):
+    """Calibrate a fresh assembly around the pretrained body."""
+    assembly = ModelAssembly(cfg, seed=model_seed)
+    load_shared(assembly, shared)
+    return assembly, TR.calibrate(assembly, bundle, spec)
+
+
 def adapt_to_task(cfg: ModelConfig, shared: Checkpoint, bundle: D.DatasetBundle,
                   cal_spec: TR.PhaseSpec, ref_spec: TR.PhaseSpec,
                   model_seed: int):
     """Calibrate then refine a fresh assembly around the pretrained body."""
-    assembly = ModelAssembly(cfg, seed=model_seed)
-    load_shared(assembly, shared)
-    cal_log = TR.calibrate(assembly, bundle, cal_spec)
-    ref_log = TR.refine(assembly, bundle, ref_spec)
-    return assembly, cal_log, ref_log
+    assembly, cal_log = calibrate_task(cfg, shared, bundle, cal_spec, model_seed)
+    return assembly, cal_log, TR.refine(assembly, bundle, ref_spec)
 
 
 def scratch_baseline(cfg: ModelConfig, bundle: D.DatasetBundle,
@@ -126,22 +131,17 @@ def run_transfer_benchmark(suite: SynthSuite, cfg: ModelConfig,
 def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
                       pre_spec: TR.PhaseSpec, cal_spec: TR.PhaseSpec,
                       ref_spec: TR.PhaseSpec, setting: str, data_seed: int,
-                      model_seed: int,
-                      basis_counts=(1, 2, 4),
-                      include_direct: bool = True) -> dict[str, E.ScoreTable]:
-    """Basis-count sweep plus the direct-coefficient variant.
+                      model_seed: int) -> dict[str, E.ScoreTable]:
+    """Basis-count sweep (M = 1, 2, 4) plus the direct-coefficient variant.
 
     Each variant is pretrained from scratch on the suite, adapted to every
     held-out task, and scored on test; the tables are shaped for ranking
     (basis sweep) and win/tie/loss (coefficient source), with no numeric
     expectations attached.
     """
-    variants: dict[str, ModelConfig] = {}
-    for m in basis_counts:
-        variants[f"basis-{m}"] = dataclasses.replace(base_cfg, n_basis=m)
-    if include_direct:
-        variants["mlp"] = base_cfg
-        variants["direct"] = dataclasses.replace(base_cfg, mode="direct")
+    variants = {f"basis-{m}": dataclasses.replace(base_cfg, n_basis=m) for m in (1, 2, 4)}
+    variants["mlp"] = base_cfg
+    variants["direct"] = dataclasses.replace(base_cfg, mode="direct")
 
     scores: dict[str, dict[str, E.Score]] = {}
     by_config: dict[tuple, dict[str, E.Score]] = {}
@@ -159,20 +159,14 @@ def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
             by_config[key] = per_task
         scores[name] = by_config[key]
 
-    tables: dict[str, E.ScoreTable] = {}
-    basis_methods = [f"basis-{m}" for m in basis_counts]
-    basis_table = E.ScoreTable(basis_methods)
     task_names = [b.schema.name for b in suite.heldout]
-    for task in task_names:
-        any_score = scores[basis_methods[0]][task]
-        basis_table.add_row(task, any_score.metric, any_score.higher_better,
-                            {m: scores[m][task].value for m in basis_methods})
-    tables["basis_count"] = basis_table
-    if include_direct:
-        coef_table = E.ScoreTable(["mlp", "direct"])
+    tables: dict[str, E.ScoreTable] = {}
+    for table_name, methods in (("basis_count", ["basis-1", "basis-2", "basis-4"]),
+                                ("coefficient_source", ["mlp", "direct"])):
+        table = E.ScoreTable(methods)
         for task in task_names:
-            any_score = scores["mlp"][task]
-            coef_table.add_row(task, any_score.metric, any_score.higher_better,
-                               {m: scores[m][task].value for m in ("mlp", "direct")})
-        tables["coefficient_source"] = coef_table
+            any_score = scores[methods[0]][task]
+            table.add_row(task, any_score.metric, any_score.higher_better,
+                          {m: scores[m][task].value for m in methods})
+        tables[table_name] = table
     return tables

@@ -258,8 +258,7 @@ def test_criterion_10_ablation_hooks(tmp_path):
                               batch_cap=100, seed=1),
         ref_spec=TR.PhaseSpec("refine", epochs=5, base_lr=3e-2,
                               batch_cap=100, seed=1),
-        setting="T-100", data_seed=1, model_seed=1,
-        basis_counts=(1, 2, 4), include_direct=True)
+        setting="T-100", data_seed=1, model_seed=1)
     basis = tables["basis_count"]
     coef = tables["coefficient_source"]
     shape_ok = (basis.methods == ["basis-1", "basis-2", "basis-4"]

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from metafn import data as D
+from metafn import workflow as W
+from metafn.checkpoint import checkpoint_from_assembly
 from metafn.cli import main
 from metafn.config import DEFAULTS, RunConfig, parse_override
 from metafn.errors import ConfigError
@@ -56,6 +59,31 @@ def test_pipeline_scores_schema(pipeline_dir):
     assert all("|T-100" in t for t in table["tasks"])
 
 
+def test_cli_matches_the_library_bit_for_bit(pipeline_dir, tmp_path):
+    cfg = RunConfig.load(str(TINY))
+    suite = D.generate_synth_suite(cfg.synth_spec())
+    bundles = W.prepare_pretrain_bundles(suite, cfg.seed)
+    _, shared, _ = W.pretrain_suite(cfg.model_config(), bundles,
+                                    cfg.phase_spec("pretrain"), cfg.seed)
+    shared.save(tmp_path / "pretrained.ckpt")
+    assert (tmp_path / "pretrained.ckpt").read_bytes() == \
+        (pipeline_dir / "pretrained.ckpt").read_bytes()
+    for raw in suite.heldout:
+        for setting in cfg.settings:
+            bundle = D.prepare(raw, split_seed=cfg.seed, setting=setting)
+            asm, _, ref_log = W.adapt_to_task(
+                cfg.model_config(), shared, bundle, cfg.phase_spec("calibrate", setting),
+                cfg.phase_spec("refine", setting), cfg.seed)
+            task_dir = pipeline_dir / "tasks" / raw.schema.name / setting
+            checkpoint_from_assembly(asm, "refine").save(tmp_path / "refined.ckpt")
+            assert (tmp_path / "refined.ckpt").read_bytes() == \
+                (task_dir / "refined.ckpt").read_bytes(), (raw.schema.name, setting)
+            lines = (task_dir / "refine.log.jsonl").read_text().splitlines()[1:]
+            logged = [json.loads(line) for line in lines]
+            assert [(e["train_loss"], e["valid_metric"]) for e in logged] == \
+                [(e.train_loss, e.valid_metric) for e in ref_log.entries]
+
+
 def test_resolved_config_reproduces_run(pipeline_dir, tmp_path):
     resolved = pipeline_dir / "config.resolved.json"
     argv = ["pretrain", "--config", str(resolved),
@@ -93,6 +121,12 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_calibrate_before_pretrain_exits_2(tmp_path):
+    assert run("gen-synth", tmp_path) == 0
+    assert run("calibrate", tmp_path) == 2  # pretrained checkpoint missing
+    assert not (tmp_path / "run" / "tasks").exists()
 
 
 def test_eval_before_calibrate_exits_2(tmp_path):

@@ -3,11 +3,13 @@
 An external profiler (``perfbench/tracing.py``) times the library by
 replacing module attributes: ``model.layer_norm``, ``model.self_attention``,
 ``model.calinear_ffn_forward``, ``training.compute_loss``, ``training.AdamW``
-and ``evaluate.score``.  If a refactor stops calling one of them through that
-attribute, its spans go silent without any error; these tests catch that.
+and ``evaluate.score`` inside a step, and the workflow and phase functions
+around it.  If a refactor stops calling one of them through that attribute,
+its spans go silent without any error; these tests catch that.
 """
 
 import functools
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from metafn import model as M
 from metafn import training as TR
 from metafn import workflow as W
 from metafn.checkpoint import load_shared
+from metafn.cli import main
 from metafn.model import ModelAssembly, ModelConfig
 
 CFG = ModelConfig(d=8, n_blocks=2, n_heads=2, n_basis=2, d_ffn=6, cal_hidden=4)
@@ -25,12 +28,14 @@ SUITE_SPEC = D.SynthSuiteSpec(seed=3, n_basis_functions=2, n_pretrain=2,
                               n_heldout=1, heldout_rows=100, hidden=4)
 HOOKS = [(M, "layer_norm"), (M, "self_attention"), (M, "calinear_ffn_forward"),
          (TR, "compute_loss"), (TR, "AdamW"), (E, "score")]
+CLI_HOOKS = [(W, "pretrain_suite"), (W, "load_shared"), (W, "checkpoint_from_assembly"),
+             (TR, "calibrate"), (TR, "refine")]
+TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
 
 
-@pytest.fixture
-def counts(monkeypatch):
+def count_calls(monkeypatch, hooks):
     seen = {}
-    for owner, name in HOOKS:
+    for owner, name in hooks:
         key = f"{owner.__name__}.{name}"
         seen[key] = 0
 
@@ -45,6 +50,11 @@ def counts(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    return count_calls(monkeypatch, HOOKS)
+
+
 def test_pretrain_and_calibrate_call_every_hook_point(counts):
     suite = D.generate_synth_suite(SUITE_SPEC)
     bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
@@ -57,3 +67,11 @@ def test_pretrain_and_calibrate_call_every_hook_point(counts):
     bundle = D.prepare(suite.heldout[0], split_seed=0, setting="T-100")
     TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=1))
     assert all(counts.values()), counts
+
+
+def test_cli_runs_through_the_workflow_hook_points(monkeypatch, tmp_path):
+    seen = count_calls(monkeypatch, CLI_HOOKS)
+    out = f'output_dir="{tmp_path / "run"}"'
+    for command in ("gen-synth", "pretrain", "calibrate", "refine"):
+        assert main([command, "--config", str(TINY), "--set", out]) == 0, command
+    assert all(seen.values()), seen

@@ -68,6 +68,31 @@ def test_tokenize_categorical_lookup_and_unknown_row():
     assert tok.cat_tables[0].shape == (4, 16)
 
 
+def test_tokenize_interleaved_kinds_keep_feature_order():
+    sig = DatasetSignature("mix", "binary",
+                           ("categorical", "numeric", "numeric", "categorical", "numeric"),
+                           (3, 2))
+    asm = ModelAssembly(SMALL, seed=11)
+    asm.attach_dataset(sig)
+    tok = asm.datasets["mix"].tokenizer
+    x_num, x_cat = batch_for(sig, 4, seed=12)
+    out = tok.forward(x_num, x_cat)
+    assert out.shape == (4, 6, 16)
+    w, b = tok.num_weight.data, tok.num_bias.data
+    np.testing.assert_array_equal(out.data[:, 0], np.broadcast_to(tok.cls.data, (4, 16)))
+    for pos, j in ((2, 0), (3, 1), (5, 2)):
+        np.testing.assert_array_equal(out.data[:, pos], x_num[:, j:j + 1] * w[j] + b[j])
+    for pos, j in ((1, 0), (4, 1)):
+        rows = tok.cat_tables[j].data[x_cat[:, j]]
+        np.testing.assert_array_equal(out.data[:, pos], rows + tok.cat_biases[j].data)
+    # the gradient of each token reaches exactly its own feature's parameters
+    seed = np.zeros(out.shape)
+    seed[:, 3] = 1.0
+    out.backward(seed)
+    assert np.all(tok.num_weight.grad[[0, 2]] == 0) and np.all(tok.num_bias.grad[1] == 4)
+    assert all(t.grad is None or not t.grad.any() for t in tok.cat_tables + tok.cat_biases)
+
+
 def test_tokenize_wrong_column_count():
     asm = ModelAssembly(SMALL, seed=5)
     asm.attach_dataset(numeric_sig(n=3))

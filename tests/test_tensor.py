@@ -208,6 +208,14 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+def test_input_without_requires_grad_collects_no_gradient():
+    w = Tensor([2.0, -1.0], requires_grad=True)
+    frozen = Tensor([3.0, 5.0])
+    (w * frozen).sum().backward()
+    np.testing.assert_array_equal(w.grad, [3.0, 5.0])
+    assert frozen.grad is None
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():

@@ -6,7 +6,8 @@ import pytest
 from metafn import data as D
 from metafn import training as TR
 from metafn import workflow as W
-from metafn.checkpoint import load_shared
+from metafn.checkpoint import (Checkpoint, assembly_from_checkpoint, load_shared,
+                               save_checkpoint)
 from metafn.errors import UsageError
 from metafn.model import ModelAssembly, ModelConfig
 from metafn.optim import lr_at
@@ -339,3 +340,47 @@ def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
     assert any(not np.array_equal(at_nan[0][n], best[n]) for n in trainable)
     for n in trainable:
         np.testing.assert_array_equal(asm.parameters()[n].data, best[n])
+
+
+def test_calibrate_leaves_no_gradient_on_frozen_parameters(suite):
+    asm, bundle, _, _ = adapt_once(suite, cal_epochs=3)
+    rest = asm.partition_parameters(bundle.schema.name).shared_rest
+    assert rest and not [n for n, p in rest.items() if p.grad is not None]
+    assert all(p.requires_grad for p in asm.parameters().values())
+
+
+def test_phase_restores_requires_grad_when_it_raises(suite, monkeypatch):
+    _, shared, _ = pretrained(suite, epochs=2, seed=4)
+    bundle = D.prepare(suite.heldout[0], split_seed=4, setting="T-100")
+    asm = ModelAssembly(CFG, seed=4)
+    load_shared(asm, shared)
+    seen = []
+
+    def failing(pred, y, task):
+        seen.append({n for n, p in asm.parameters().items() if p.requires_grad})
+        raise RuntimeError("loss failed")
+
+    monkeypatch.setattr(TR, "compute_loss", failing)
+    with pytest.raises(RuntimeError, match="loss failed"):
+        TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=2, seed=4))
+    assert seen == [set(asm.partition_parameters(bundle.schema.name).calibratable)]
+    assert all(p.requires_grad for p in asm.parameters().values())
+
+
+def test_in_memory_refine_matches_checkpoint_round_trip(suite, tmp_path):
+    _, shared, _ = pretrained(suite, epochs=4, seed=2)
+    bundle = D.prepare(suite.heldout[1], split_seed=2, setting="T-100")
+    cal_spec = TR.PhaseSpec("calibrate", epochs=6, base_lr=1e-2, seed=2)
+    ref_spec = TR.PhaseSpec("refine", epochs=3, base_lr=1e-2, seed=2)
+    in_memory, _, ref_log = W.adapt_to_task(CFG, shared, bundle, cal_spec, ref_spec, 2)
+
+    calibrated, _ = W.calibrate_task(CFG, shared, bundle, cal_spec, 2)
+    save_checkpoint(calibrated, tmp_path / "calibrated.ckpt", phase="calibrate")
+    reloaded = assembly_from_checkpoint(Checkpoint.load(tmp_path / "calibrated.ckpt"), seed=2)
+    reloaded_log = TR.refine(reloaded, bundle, ref_spec)
+
+    assert reloaded_log.step_losses == ref_log.step_losses
+    assert [e.valid_metric for e in reloaded_log.entries] == \
+        [e.valid_metric for e in ref_log.entries]
+    for name, p in in_memory.parameters().items():
+        assert p.data.tobytes() == reloaded.parameters()[name].data.tobytes(), name
