@@ -23,7 +23,7 @@ rng = np.random.default_rng(0)
 w = T.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 b = T.Tensor(np.zeros(2), requires_grad=True)
 data = rng.standard_normal((5, 3))
-out = T.softmax(T.matmul(T.Tensor(data), w) + b)
+out = T.softmax(T.linear(T.Tensor(data), w, b))
 loss = T.tsum(out * rng.standard_normal((5, 2)))
 loss.backward()
 print(f"softmax rows sum to 1: {np.allclose(out.data.sum(axis=1), 1.0)}")

@@ -7,9 +7,10 @@ mixture of the bases:
 
     out[b, n] = sum_m c[n, m] * (z[b, n] @ W_m + b_m)
 
-Because the mixture is linear in the bases, the forward pass first mixes
-the weights per token and then applies a single batched matmul, which is
-algebraically identical to summing M separate affine maps.
+Because the mixture is linear in the bases, ``tensor.mixture_linear``
+mixes the weights and biases per token and applies the mixed map in one
+batched product, one autodiff node that is algebraically identical to
+summing M separate affine maps.
 
 In the "direct" coefficient mode the assembly feeds the same forward pass
 softmax rows of a per-dataset logit matrix instead of the MLP's output.
@@ -75,10 +76,7 @@ class CaLinear:
             raise DimensionError(
                 f"{self.name}: coefficient shape {coeffs.shape} does not match "
                 f"(tokens={z.shape[1]}, basis={self.n_basis})")
-        w_flat = self.weight.reshape(self.n_basis, self.d_in * self.d_out)
-        w_eff = T.linear(coeffs, w_flat).reshape(coeffs.shape[0], self.d_in, self.d_out)
-        out = T.matmul(z.transpose(1, 0, 2), w_eff).transpose(1, 0, 2)
-        return out + T.linear(coeffs, self.bias)
+        return T.mixture_linear(z, coeffs, self.weight, self.bias)
 
 
 def calinear_ffn_forward(lin1, lin2, z: Tensor, c1: Tensor, c2: Tensor) -> Tensor:

@@ -77,23 +77,8 @@ def self_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
 
     x: [B, T, d] -> [B, T, d].  No masking, no dropout.
     """
-    B, S, d = x.shape
-    if d % heads != 0:
-        raise ConfigError(f"embedding width {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split(t: Tensor) -> Tensor:
-        return t.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)  # [B, H, T, dh]
-
-    q = split(T.linear(x, p.wq, p.bq))
-    k = split(T.linear(x, p.wk))
-    v = split(T.linear(x, p.wv, p.bv))
-
-    scores = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-    weights = T.softmax(scores, axis=-1)          # [B, H, T, T]
-    ctx = T.matmul(weights, v)                    # [B, H, T, dh]
-    merged = ctx.transpose(0, 2, 1, 3).reshape(B, S, d)
-    return T.linear(merged, p.wo, p.bo)
+    q, k, v = T.linear(x, p.wq, p.bq), T.linear(x, p.wk), T.linear(x, p.wv, p.bv)
+    return T.linear(T.attention(q, k, v, heads), p.wo, p.bo)
 
 
 def compute_loss(pred: Tensor, target: np.ndarray, task: str) -> Tensor:

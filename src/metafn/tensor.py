@@ -153,25 +153,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_to_const(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, pow_const(other, -1.0))
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -180,11 +163,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -228,33 +206,6 @@ def mul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched product of stacked matrices; a 2-D right operand belongs in ``linear``."""
-    a, b = _to_const(a), _to_const(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return Tensor._from_op(out_data, (a, b), backward)
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    a = _to_const(a)
-    p = float(p)
-    out_data = a.data ** p
-
-    def backward(g):
-        a._accumulate(g * (p * a.data ** (p - 1.0)))
-
-    return Tensor._from_op(out_data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -329,17 +280,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(g):
         a._accumulate(g.reshape(a.shape))
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    a = _to_const(a)
-    out_data = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        a._accumulate(g.transpose(inverse))
 
     return Tensor._from_op(out_data, (a,), backward)
 
@@ -422,8 +362,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(-1, weight.shape[1])
         x._accumulate((g2 @ weight.data.T).reshape(x.shape))
-        weight._accumulate(x2.T @ g2)
-        if bias is not None:
+        if weight.requires_grad:
+            weight._accumulate(x2.T @ g2)
+        if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
 
     return Tensor._from_op(out_data, parents, backward)
@@ -455,17 +396,92 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._from_op(out_data, (x, gamma, beta), backward)
 
 
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``; outputs are positive and sum to one."""
     a = _to_const(a)
     if a.shape[axis if axis >= 0 else a.ndim + axis] == 0:
         raise DimensionError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - inner))
+        a._accumulate(_softmax_backward(g, out_data, axis))
 
     return Tensor._from_op(out_data, (a,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of [B, S, d] projections, as one node.
+
+    Splits the width into ``heads`` slices, softmaxes each head's
+    ``q·kᵀ / sqrt(d / heads)`` over the keys, weights ``v`` with it and
+    merges the heads back into [B, S, d].  No masking, no dropout.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention inputs differ: {q.shape}, {k.shape}, {v.shape}")
+    B, S, d = q.shape
+    if d % heads != 0:
+        raise ConfigError(f"embedding width {d} not divisible by {heads} heads")
+    dh = d // heads
+
+    def split(a):
+        return a.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)  # [B, H, S, dh]
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(B, S, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dh)
+    weights = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale)  # [B, H, S, S]
+    out_data = merge(weights @ vh)
+
+    def backward(g):
+        g_ctx = split(g)
+        g_weights = g_ctx @ np.swapaxes(vh, -1, -2)
+        v._accumulate(merge(np.swapaxes(weights, -1, -2) @ g_ctx))
+        g_scores = _softmax_backward(g_weights, weights) * scale
+        q._accumulate(merge(g_scores @ kh))
+        k._accumulate(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)))
+
+    # parent order as in the unfused graph: shared inputs sum gradients in the same order
+    return Tensor._from_op(out_data, (q, k, v), backward)
+
+
+def mixture_linear(z: Tensor, coeffs: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Per-token mixture of M affine maps, as one node.
+
+    z: [B, T, d_in], coeffs: [T, M], weight: [M, d_in, d_out], bias: [M, d_out]
+    -> [B, T, d_out] with ``out[b, t] = z[b, t] @ (c[t] · W) + c[t] · bias``.
+    The weights are mixed per token first and then applied in one batched
+    product; callers validate the shapes.
+    """
+    n_basis, d_in, d_out = weight.shape
+    n_tok = coeffs.shape[0]
+    w_flat = weight.data.reshape(n_basis, d_in * d_out)
+    w_eff = (coeffs.data @ w_flat).reshape(n_tok, d_in, d_out)
+    z_t = z.data.transpose(1, 0, 2)  # [T, B, d_in]
+    out_data = (z_t @ w_eff).transpose(1, 0, 2) + coeffs.data @ bias.data
+
+    def backward(g):
+        g_bias = np.ascontiguousarray(g.sum(axis=0))  # [T, d_out]
+        g_t = g.transpose(1, 0, 2)
+        z._accumulate((g_t @ np.swapaxes(w_eff, -1, -2)).transpose(1, 0, 2))
+        g_w = np.ascontiguousarray(np.swapaxes(z_t, -1, -2) @ g_t).reshape(n_tok, -1)
+        coeffs._accumulate(g_w @ w_flat.T)
+        if weight.requires_grad:
+            weight._accumulate((coeffs.data.T @ g_w).reshape(weight.shape))
+        coeffs._accumulate(g_bias @ bias.data.T)
+        if bias.requires_grad:
+            bias._accumulate(coeffs.data.T @ g_bias)
+
+    # parent order as in the unfused graph: shared inputs sum gradients in the same order
+    return Tensor._from_op(out_data, (z, weight, coeffs, bias), backward)

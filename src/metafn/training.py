@@ -285,9 +285,9 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
 
     ``steps_total`` defaults to spec.epochs * sum_i ceil(rows_i / batch_cap),
     which makes the expected per-dataset epoch count equal spec.epochs for
-    same-sized datasets.  The run is logged every
-    ``round(steps_total / spec.epochs)`` steps and after the last one; each
-    entry averages the losses of the steps since the entry before.
+    same-sized datasets.  The run is logged at every epoch boundary (every
+    sum_i ceil(rows_i / batch_cap) steps) and after the last step; each entry
+    averages the losses of the steps since the entry before.
     """
     if not bundles:
         raise UsageError("pretraining needs at least one dataset")
@@ -308,7 +308,7 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
     log = _train(assembly, bundles, train, spec, TrainLog(phase="pretrain"),
                  _sampled_batches(sizes, spec.batch_cap, total, rng),
-                 total=total, log_every=max(1, round(total / max(spec.epochs, 1))),
+                 total=total, log_every=steps_per_epoch,
                  keep_best=False, scheduled=ds_params, constant=shared_params)
     assembly.provenance = "pretrain"
     return log

@@ -166,6 +166,32 @@ def test_refine_unfreezes_shared_body(suite):
         assert moved
 
 
+def test_refine_restores_its_best_epoch_bitwise(suite, monkeypatch):
+    # after a single calibration epoch refinement still improves: its best
+    # epoch is 1 of 2, so the restore of a state other than the last runs
+    from metafn import evaluate as E
+    asm, bundle, cal_log, _ = adapt_once(suite, cal_epochs=1)
+    at_validation = []
+    real_score = E.score
+
+    def spy(assembly, b, split):
+        at_validation.append(params_of(assembly))
+        return real_score(assembly, b, split)
+
+    monkeypatch.setattr(E, "score", spy)
+    flags = {n: p.requires_grad for n, p in asm.parameters().items()}
+    log = TR.refine(asm, bundle, TR.PhaseSpec("refine", epochs=2, base_lr=1e-2, seed=9))
+
+    assert 0 < log.best_epoch < len(log.entries)
+    assert log.best_metric == log.entries[log.best_epoch - 1].valid_metric
+    assert log.best_metric <= cal_log.best_metric
+    best = at_validation[log.best_epoch]
+    assert any(not np.array_equal(at_validation[-1][n], a) for n, a in best.items())
+    for n, p in asm.parameters().items():
+        np.testing.assert_array_equal(p.data, best[n])
+    assert {n: p.requires_grad for n, p in asm.parameters().items()} == flags
+
+
 def test_refine_requires_calibration_first(suite):
     _, shared, _ = pretrained(suite, epochs=2, seed=4)
     bundle = D.prepare(suite.heldout[0], split_seed=4, setting="T-100")
@@ -245,19 +271,51 @@ def test_lr_groups_in_supervised_loop(suite):
             lr_at(e.epoch, total, spec.base_lr, spec.warmup_frac))
 
 
-def test_pretrain_log_entry_averages_only_its_own_steps(suite):
-    # 5 steps logged twice over: log points after steps 2, 4 and 5
-    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+def pretrain_assembly(bundles):
     asm = ModelAssembly(CFG, seed=0)
     for b in bundles:
         asm.attach_dataset(b.schema.signature())
-    log = TR.pretrain(asm, bundles, TR.PhaseSpec("pretrain", epochs=2, seed=0),
-                      steps_total=5)
+    return asm
+
+
+def test_pretrain_log_entry_averages_only_its_own_steps(suite):
+    # 5 steps, epochs of 3 steps (three tables, one batch each): log points
+    # after steps 3 and 5
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    log = TR.pretrain(pretrain_assembly(bundles), bundles,
+                      TR.PhaseSpec("pretrain", epochs=2, seed=0), steps_total=5)
     losses = log.step_losses
     assert len(losses) == 5
-    assert [e.epoch for e in log.entries] == [1, 2, 3]
+    assert [e.epoch for e in log.entries] == [1, 2]
     assert [e.train_loss for e in log.entries] == [
-        float(np.mean(losses[0:2])), float(np.mean(losses[2:4])), float(np.mean(losses[4:5]))]
+        float(np.mean(losses[0:3])), float(np.mean(losses[3:5]))]
+
+
+def test_pretrain_logs_at_epoch_boundaries(suite, monkeypatch):
+    # an epoch is 3 steps here; 5 steps over 2 epochs used to be logged every
+    # round(5 / 2) = 2 steps, giving 3 entries
+    from metafn import evaluate as E
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    steps, logged_after = [], []
+    real_loss, real_score = TR.compute_loss, E.score
+
+    def counting_loss(*args):
+        steps.append(1)
+        return real_loss(*args)
+
+    def spy(*args):
+        logged_after.append(len(steps))
+        return real_score(*args)
+
+    monkeypatch.setattr(TR, "compute_loss", counting_loss)
+    monkeypatch.setattr(E, "score", spy)
+    for steps_total, want in ((5, [3, 5]), (None, [3, 6]), (7, [3, 6, 7])):
+        steps.clear()
+        logged_after.clear()
+        log = TR.pretrain(pretrain_assembly(bundles), bundles,
+                          TR.PhaseSpec("pretrain", epochs=2, seed=0), steps_total=steps_total)
+        assert sorted(set(logged_after)) == want
+        assert [e.epoch for e in log.entries] == list(range(1, len(want) + 1))
 
 
 def nan_loss_on_call(monkeypatch, k, before_nan):
