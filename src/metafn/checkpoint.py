@@ -10,16 +10,17 @@ Little-endian layout:
     count   u32      number of parameter records
     record  repeated:
         name_len u16, name utf-8,
-        dtype    u8   (0 = float64, 1 = float32),
+        dtype    u8   (0 = float64, the only tag written or read),
         ndim     u8,  dims u32 * ndim,
         crc32    u32  of the raw payload,
         payload  raw little-endian values
 
 Records are written in registry order, so save -> load -> save is
 byte-identical.  Every record's CRC is verified on load and failures
-name the offending entry.  A save writes a temporary file beside the
-target and renames it over the target, so a failed or interrupted save
-leaves the previous file as it was.
+name the offending entry; a malformed header is rejected naming the
+file.  A save writes a temporary file beside the target and renames it
+over the target, so a failed or interrupted save leaves the previous
+file as it was.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .model import DatasetSignature, ModelAssembly, ModelConfig
 
 MAGIC = b"MFNCKPT1"
 VERSION = 1
-_DTYPES = {0: "<f8", 1: "<f4"}
-_DTYPE_TAGS = {"<f8": 0, "<f4": 1}
+_F64 = 0     # dtype tag of every record
+_HEADER_KEYS = ("model_config", "datasets", "phase", "rng_state")
 
 
 @dataclass
@@ -52,11 +53,9 @@ class Checkpoint:
     records: list[tuple[str, int, tuple[int, ...], bytes]]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, tag, shape, payload in self.records:
-            arr = np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(shape)
-            out[name] = arr.astype(np.float64)
-        return out
+        """A fresh, writeable float64 array per record."""
+        return {name: np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+                for name, _, shape, payload in self.records}
 
     # -- serialization --------------------------------------------------------
 
@@ -107,18 +106,32 @@ class Checkpoint:
         version, hlen = struct.unpack("<II", take(8, "version/header length"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        header = json.loads(bytes(take(hlen, "header")).decode("utf-8"))
+        try:
+            header = json.loads(bytes(take(hlen, "header")).decode("utf-8"))
+        except ValueError:
+            raise CheckpointError(f"{path}: header is not UTF-8 JSON") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header lacks {missing}")
+        try:
+            config = ModelConfig(**header["model_config"])
+            datasets = {k: DatasetSignature.from_dict(v)
+                        for k, v in header["datasets"].items()}
+        except (TypeError, KeyError, AttributeError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc}") from None
         (count,) = struct.unpack("<I", take(4, "record count"))
         records = []
         for i in range(count):
             (name_len,) = struct.unpack("<H", take(2, f"record {i} name length"))
             name = bytes(take(name_len, f"record {i} name")).decode("utf-8")
             tag, ndim = struct.unpack("<BB", take(2, f"{name}: dtype/ndim"))
-            if tag not in _DTYPES:
+            if tag != _F64:
                 raise CheckpointError(f"{path}: {name}: unknown dtype tag {tag}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name}: shape"))
             (crc,) = struct.unpack("<I", take(4, f"{name}: checksum"))
-            size = int(np.prod(shape, dtype=np.int64)) * (8 if tag == 0 else 4)
+            size = int(np.prod(shape, dtype=np.int64)) * 8
             payload = bytes(take(size, f"{name}: payload"))
             if zlib.crc32(payload) != crc:
                 raise CheckpointError(f"{path}: corrupt payload for entry {name!r}")
@@ -126,9 +139,8 @@ class Checkpoint:
         if pos != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
         return cls(
-            config=ModelConfig(**header["model_config"]),
-            datasets={k: DatasetSignature.from_dict(v)
-                      for k, v in header["datasets"].items()},
+            config=config,
+            datasets=datasets,
             phase=header["phase"],
             rng_state=header["rng_state"],
             records=records,
@@ -136,13 +148,9 @@ class Checkpoint:
 
 
 def checkpoint_from_assembly(assembly: ModelAssembly, phase: str,
-                             rng_state: dict | None = None,
-                             dtype: str = "f64") -> Checkpoint:
-    np_dtype = "<f8" if dtype == "f64" else "<f4"
-    records = []
-    for name, p in assembly.parameters().items():
-        payload = np.ascontiguousarray(p.data, dtype=np_dtype).tobytes()
-        records.append((name, _DTYPE_TAGS[np_dtype], p.shape, payload))
+                             rng_state: dict | None = None) -> Checkpoint:
+    records = [(name, _F64, p.shape, np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+               for name, p in assembly.parameters().items()]
     return Checkpoint(
         config=assembly.config,
         datasets={k: v.signature for k, v in assembly.datasets.items()},
@@ -153,30 +161,32 @@ def checkpoint_from_assembly(assembly: ModelAssembly, phase: str,
 
 
 def save_checkpoint(assembly: ModelAssembly, path, phase: str,
-                    rng_state: dict | None = None, dtype: str = "f64") -> Checkpoint:
-    ckpt = checkpoint_from_assembly(assembly, phase, rng_state, dtype)
+                    rng_state: dict | None = None) -> Checkpoint:
+    ckpt = checkpoint_from_assembly(assembly, phase, rng_state)
     ckpt.save(path)
     return ckpt
 
 
-def _check_compat(assembly: ModelAssembly, ckpt: Checkpoint) -> None:
-    if assembly.config.compat_key() != ckpt.config.compat_key():
-        raise CheckpointError(
-            f"config mismatch: assembly {assembly.config.compat_key()} vs "
-            f"checkpoint {ckpt.config.compat_key()}")
+def _install(assembly: ModelAssembly, params: dict, ckpt: Checkpoint) -> None:
+    """Set ``params`` from the records of the same names and shapes, all or none."""
+    arrays = ckpt.arrays()
+    for name, p in params.items():
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint is missing entry {name!r}")
+        if arrays[name].shape != p.shape:
+            raise CheckpointError(f"shape mismatch for entry {name!r}")
+    for name, p in params.items():
+        p.data = arrays[name]
+    assembly.provenance = ckpt.phase
 
 
 def load_shared(assembly: ModelAssembly, ckpt: Checkpoint) -> None:
     """Install the checkpoint's shared body into ``assembly``."""
-    _check_compat(assembly, ckpt)
-    arrays = ckpt.arrays()
-    for name, p in assembly.shared_parameters().items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint is missing shared entry {name!r}")
-        if arrays[name].shape != p.shape:
-            raise CheckpointError(f"shape mismatch for entry {name!r}")
-        p.data = arrays[name].copy()
-    assembly.provenance = ckpt.phase
+    if assembly.config.compat_key() != ckpt.config.compat_key():
+        raise CheckpointError(
+            f"config mismatch: assembly {assembly.config.compat_key()} vs "
+            f"checkpoint {ckpt.config.compat_key()}")
+    _install(assembly, assembly.shared_parameters(), ckpt)
 
 
 def assembly_from_checkpoint(ckpt: Checkpoint, seed: int = 0) -> ModelAssembly:
@@ -184,17 +194,10 @@ def assembly_from_checkpoint(ckpt: Checkpoint, seed: int = 0) -> ModelAssembly:
     assembly = ModelAssembly(ckpt.config, seed=seed)
     for sig in ckpt.datasets.values():
         assembly.attach_dataset(sig)
-    arrays = ckpt.arrays()
     params = assembly.parameters()
-    missing = [n for n in params if n not in arrays]
-    extra = [n for n in arrays if n not in params]
-    if missing or extra:
-        raise CheckpointError(f"parameter sets differ: missing {missing[:3]}, "
-                              f"unexpected {extra[:3]}")
-    for name, p in params.items():
-        if arrays[name].shape != p.shape:
-            raise CheckpointError(f"shape mismatch for entry {name!r}")
-        p.data = arrays[name].copy()
-    assembly.provenance = ckpt.phase
+    extra = [name for name, *_ in ckpt.records if name not in params]
+    if extra:
+        raise CheckpointError(f"checkpoint has unexpected entries {extra[:3]}")
+    _install(assembly, params, ckpt)
     assembly.dataset_phase = dict.fromkeys(ckpt.datasets, ckpt.phase)
     return assembly

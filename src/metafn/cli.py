@@ -148,8 +148,7 @@ def cmd_export_coeffs(cfg: RunConfig, out: Path) -> None:
     ckpt = _checkpoint(out / "pretrained.ckpt", "pretrain")
     assembly = assembly_from_checkpoint(ckpt, seed=cfg.seed)
     path = out / "coefficients.json"
-    E.export_coefficients(assembly, sorted(assembly.datasets), path,
-                          phase="pretrained")
+    E.export_coefficients(assembly, sorted(assembly.datasets), path)
     _provenance(cfg, "export-coeffs", path)
     _log(f"exported coefficients for {len(assembly.datasets)} datasets -> {path}")
 

@@ -26,10 +26,7 @@ DEFAULTS: dict = {
     "model": {"d": 192, "blocks": 4, "heads": 8, "basis": 4, "d_ffn": 256,
               "cal_hidden": 16, "mode": "mlp"},
     "data": {
-        "synth": {"seed": 0, "n_basis_functions": 6, "n_pretrain": 16,
-                  "rows_per_dataset": 2000, "n_features": 8, "noise_std": 0.1,
-                  "n_heldout": 10, "heldout_rows": 2000, "hidden": 16,
-                  "structure": "ridge", "curvature": 3.0, "mixture_alpha": 0.3},
+        "synth": SynthSuiteSpec().to_dict(),
         "suite_dir": None,          # read an exported suite instead of generating
         "tasks": [],                # extra CSV tasks: [{"csv":..., "manifest":...}]
     },
@@ -116,6 +113,14 @@ class RunConfig:
             epochs = spec["epochs"]
             if epochs is not None and epochs < 0:
                 raise ConfigError(f"phases.{phase}.epochs must be >= 0")
+            cap = spec["batch_cap"]
+            if not isinstance(cap, int) or cap < 1:
+                raise ConfigError(f"phases.{phase}.batch_cap must be an integer >= 1")
+        tasks = self.raw["data"]["tasks"]
+        if not isinstance(tasks, list) or not all(
+                isinstance(t, dict) and isinstance(t.get("csv"), str)
+                and isinstance(t.get("manifest"), str) for t in tasks):
+            raise ConfigError('data.tasks must list {"csv": path, "manifest": path} entries')
 
     # -- typed views -----------------------------------------------------------
 

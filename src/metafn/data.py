@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,10 +58,6 @@ class Schema:
     @property
     def feature_columns(self) -> list[Column]:
         return [c for c in self.columns if c.kind != "target"]
-
-    @property
-    def target_column(self) -> Column:
-        return next(c for c in self.columns if c.kind == "target")
 
     @property
     def n_features(self) -> int:
@@ -166,7 +163,9 @@ class DatasetBundle:
         return self.y.shape[0]
 
     def split_sizes(self) -> dict[str, int]:
-        return {k: len(v) for k, v in (self.splits or {}).items()}
+        if self.splits is None:
+            raise UsageError(f"split {self.schema.name!r} first")
+        return {k: len(v) for k, v in self.splits.items()}
 
     def copy_shallow(self) -> "DatasetBundle":
         return replace(self)
@@ -224,15 +223,14 @@ def standardize_targets(bundle: DatasetBundle) -> DatasetBundle:
     return bundle
 
 
-def fit_transforms(bundle: DatasetBundle, seed: int,
-                   noise_scale: float = 1e-3) -> DatasetBundle:
+def fit_transforms(bundle: DatasetBundle, seed: int) -> DatasetBundle:
     """Fit per-column quantile maps and target standardization on train rows."""
     if bundle.splits is None:
         raise UsageError("split the bundle before fitting transforms")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9a111]))
     train = bundle.splits["train"]
     bundle.transforms = [
-        QuantileTransform.fit(bundle.x_num[train, j], rng, noise_scale)
+        QuantileTransform.fit(bundle.x_num[train, j], rng)
         for j in range(bundle.x_num.shape[1])]
     standardize_targets(bundle)
     return bundle
@@ -262,13 +260,11 @@ def de_standardize_mse(bundle: DatasetBundle, standardized_mse: float) -> float:
     return standardized_mse * bundle.target_std ** 2
 
 
-def prepare(bundle: DatasetBundle, split_seed: int, setting: SettingSpec | str = "T-full",
-            setting_seed: int | None = None, noise_scale: float = 1e-3) -> DatasetBundle:
-    """Convenience pipeline: split -> apply setting -> fit transforms."""
+def prepare(bundle: DatasetBundle, split_seed: int,
+            setting: SettingSpec | str = "T-full") -> DatasetBundle:
+    """Split, apply the setting and fit transforms, each seeded by ``split_seed``."""
     split(bundle, split_seed)
-    out = apply_setting(bundle, setting, setting_seed if setting_seed is not None
-                        else split_seed)
-    return fit_transforms(out, split_seed, noise_scale)
+    return fit_transforms(apply_setting(bundle, setting, split_seed), split_seed)
 
 
 # -- CSV + manifest ----------------------------------------------------------
@@ -277,6 +273,18 @@ def prepare(bundle: DatasetBundle, split_seed: int, setting: SettingSpec | str =
 def load_manifest(path) -> Schema:
     with open(path, "r", encoding="utf-8") as fh:
         return Schema.from_dict(json.load(fh))
+
+
+def _finite(text: str, csv_path, r: int, column: str) -> float:
+    """``text`` from data row ``r`` as a finite float; errors name file, row and column."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan      # reported below, as nan and inf are
+    if not math.isfinite(value):
+        raise DataError(f"{csv_path}: row {r + 2}, column {column!r}: "
+                        f"{text!r} is not a finite number")
+    return value
 
 
 def load_csv(csv_path, manifest_path) -> DatasetBundle:
@@ -313,12 +321,7 @@ def load_csv(csv_path, manifest_path) -> DatasetBundle:
             raise DataError(f"{csv_path}: row {r + 2} has {len(row)} fields, "
                             f"expected {len(schema.columns)}")
         for j, i in enumerate(num_cols):
-            try:
-                x_num[r, j] = float(row[i])
-            except ValueError:
-                raise DataError(
-                    f"{csv_path}: row {r + 2}, column {schema.columns[i].name!r}: "
-                    f"cannot parse {row[i]!r} as a number") from None
+            x_num[r, j] = _finite(row[i], csv_path, r, schema.columns[i].name)
         for j, i in enumerate(cat_cols):
             mapping = vocab_maps[i]
             idx = mapping.get(row[i])
@@ -327,10 +330,7 @@ def load_csv(csv_path, manifest_path) -> DatasetBundle:
                 unknown += 1
             x_cat[r, j] = idx
         raw = row[tgt_col]
-        try:
-            y[r] = float(raw)
-        except ValueError:
-            raise DataError(f"{csv_path}: row {r + 2}: cannot parse target {raw!r}") from None
+        y[r] = _finite(raw, csv_path, r, schema.columns[tgt_col].name)
         if schema.task == "binary" and y[r] not in (0.0, 1.0):
             raise DataError(f"{csv_path}: row {r + 2}: binary target must be 0 or 1, "
                             f"got {raw!r}")

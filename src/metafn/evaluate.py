@@ -24,10 +24,10 @@ from .model import ModelAssembly
 from .tensor import no_grad
 
 TIE_DECIMALS = 3
+PREDICT_BATCH = 4096   # rows per no-grad forward pass
 
 
-def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle,
-                split_name: str, batch: int = 4096,
+def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
                 matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                 ) -> np.ndarray:
     """Raw model outputs for one split (logits or standardized values).
@@ -41,8 +41,8 @@ def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle,
         raise UsageError(f"split {split_name!r} of {bundle.schema.name!r} is empty")
     out = np.empty(n)
     with no_grad():
-        for lo in range(0, n, batch):
-            hi = min(lo + batch, n)
+        for lo in range(0, n, PREDICT_BATCH):
+            hi = min(lo + PREDICT_BATCH, n)
             out[lo:hi] = assembly.forward(bundle.schema.name,
                                           x_num[lo:hi], x_cat[lo:hi]).data[:, 0]
     return out
@@ -158,8 +158,7 @@ def win_tie_loss(table: ScoreTable, method_a: str, method_b: str,
 # -- coefficient export ---------------------------------------------------------
 
 
-def export_coefficients(assembly: ModelAssembly, dataset_names: list[str],
-                        path, phase: str = "pretrained") -> dict:
+def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path) -> dict:
     """Dump per-(dataset, token, layer) mixture coefficients as JSON."""
     if assembly.config.mode == "plain":
         raise UsageError("the plain baseline has no mixture coefficients")
@@ -180,7 +179,7 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str],
                         "context": float(context[token]) if context is not None else None,
                         "coefficients": [float(c) for c in coeffs[token]],
                     })
-    doc = {"phase": phase, "records": records}
+    doc = {"phase": "pretrained", "records": records}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -216,8 +215,6 @@ def _table_section(table: ScoreTable) -> dict:
 def _render_text(report: dict) -> str:
     lines = ["method comparison report", "=" * 40]
     for section, body in report.items():
-        if section == "logs":
-            continue
         lines.append(f"\n[{section}]")
         rank = body.get("rank", {})
         if rank:
@@ -230,21 +227,14 @@ def _render_text(report: dict) -> str:
 
 
 def build_report(main: ScoreTable, out_prefix,
-                 ablations: dict[str, ScoreTable] | None = None,
-                 logs: dict[str, list[dict]] | None = None) -> dict:
+                 ablations: dict[str, ScoreTable] | None = None) -> dict:
     """Assemble the comparison report and write <prefix>.json / <prefix>.txt.
 
     Regenerating from identical inputs produces byte-identical files.
     """
-    if logs:
-        unknown = set(logs) - set(main.tasks)
-        if unknown:
-            raise DataError(f"log entries reference unknown tasks: {sorted(unknown)}")
     report = {"main": _table_section(main)}
     for name, table in (ablations or {}).items():
         report[f"ablation:{name}"] = _table_section(table)
-    if logs:
-        report["logs"] = logs
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:

@@ -208,26 +208,6 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _to_const(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _to_const(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     a = _to_const(a)
     out_data = np.maximum(a.data, 0.0)

@@ -61,9 +61,6 @@ def default_calibrate_epochs(setting_name: str) -> int:
     return 240 if setting_name == "T-full" else 40
 
 
-DEFAULT_REFINE_EPOCHS = 5
-
-
 @dataclass
 class LogEntry:
     epoch: int
@@ -129,20 +126,20 @@ def _trains_only(assembly: ModelAssembly, params: dict[str, Parameter]) -> Itera
 Batches = Iterator[tuple[str, np.ndarray]]
 
 
-def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
-           train: dict[str, tuple], spec: PhaseSpec, log: TrainLog,
-           batches: Batches, total: int, log_every: int, keep_best: bool,
+def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseSpec,
+           log: TrainLog, batches: Batches, total: int, log_every: int, keep_best: bool,
            scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
     """The step loop of every phase.
 
-    ``batches`` yields ``(dataset name, train row indices)`` once per step;
-    ``train`` maps each name to its (x_num, x_cat, y) matrices.  ``total``
-    is the length of the learning-rate schedule.  Every ``log_every`` steps,
-    and after step ``total``, the loop validates and logs.  With
+    ``batches`` yields ``(dataset name, row indices)`` once per step, the
+    indices counting rows of that bundle's train split.  ``total`` is the
+    length of the learning-rate schedule.  Every ``log_every`` steps, and
+    after step ``total``, the loop validates and logs.  With
     ``keep_best`` it scores the one table in ``bundles`` (first before any
     step) and retains the best state; otherwise it reports the mean over
     ``bundles`` and retains the latest state.
     """
+    train = {b.schema.name: D.matrices(b, "train") for b in bundles}
     params = {**scheduled, **constant}
     opt = AdamW([{"params": list(scheduled.values()), "lr": 0.0},
                  {"params": list(constant.values()), "lr": spec.base_lr}],
@@ -230,11 +227,10 @@ def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
              scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
     """Epochs over one dataset, logged per epoch, best state retained."""
     name = bundle.schema.name
-    train = {name: D.matrices(bundle, "train")}
-    n = train[name][2].shape[0]
+    n = bundle.split_sizes()["train"]
     steps_per_epoch = max(1, ceil(n / spec.batch_cap))
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
-    return _train(assembly, [bundle], train, spec, TrainLog(phase=spec.phase, dataset=name),
+    return _train(assembly, [bundle], spec, TrainLog(phase=spec.phase, dataset=name),
                   _epoch_batches(name, n, spec, rng),
                   total=max(1, spec.epochs * steps_per_epoch), log_every=steps_per_epoch,
                   keep_best=True, scheduled=scheduled, constant=constant)
@@ -295,8 +291,7 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
         if b.schema.name not in assembly.datasets:
             raise UsageError(f"attach {b.schema.name!r} before pretraining")
 
-    train = {b.schema.name: D.matrices(b, "train") for b in bundles}
-    sizes = {n: m[2].shape[0] for n, m in train.items()}
+    sizes = {b.schema.name: b.split_sizes()["train"] for b in bundles}
     steps_per_epoch = sum(ceil(size / spec.batch_cap) for size in sizes.values())
     total = steps_total if steps_total is not None else spec.epochs * steps_per_epoch
     if total <= 0:
@@ -306,7 +301,7 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     ds_params = {n: p for n, p in params.items() if n.startswith("datasets.")}
     shared_params = {n: p for n, p in params.items() if not n.startswith("datasets.")}
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
-    log = _train(assembly, bundles, train, spec, TrainLog(phase="pretrain"),
+    log = _train(assembly, bundles, spec, TrainLog(phase="pretrain"),
                  _sampled_batches(sizes, spec.batch_cap, total, rng),
                  total=total, log_every=steps_per_epoch,
                  keep_best=False, scheduled=ds_params, constant=shared_params)

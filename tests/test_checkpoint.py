@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +97,96 @@ def test_bad_magic_rejected(tmp_path):
         Checkpoint.load(path)
 
 
-def test_float32_export_halves_payload(tmp_path):
-    asm = make_assembly()
-    c64 = checkpoint_from_assembly(asm, "pretrain", dtype="f64")
-    c32 = checkpoint_from_assembly(asm, "pretrain", dtype="f32")
-    b64 = sum(len(r[3]) for r in c64.records)
-    b32 = sum(len(r[3]) for r in c32.records)
-    assert b32 * 2 == b64
-    arr64 = c64.arrays()
-    for name, arr in c32.arrays().items():
-        np.testing.assert_allclose(arr, arr64[name], rtol=1e-6, atol=1e-6)
+def saved_blob(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_assembly(), path, phase="pretrain")
+    return path, path.read_bytes()
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        Checkpoint.load(path)
+
+
+def test_float32_tag_rejected(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    name_at = 16 + hlen + 4
+    (name_len,) = struct.unpack("<H", blob[name_at:name_at + 2])
+    tag_at = name_at + 2 + name_len
+    assert blob[tag_at] == 0
+    path.write_bytes(blob[:tag_at] + b"\x01" + blob[tag_at + 1:])
+    with pytest.raises(CheckpointError, match="unknown dtype tag 1"):
+        Checkpoint.load(path)
+
+
+def with_header(blob: bytes, header: bytes) -> bytes:
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen:]
+
+
+def edited_header(blob: bytes, edit) -> bytes:
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    return with_header(blob, json.dumps(header).encode("utf-8"))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda b: with_header(b, b"\xff\xfe{}"), "not UTF-8 JSON"),
+    (lambda b: with_header(b, b"{\"phase\": "), "not UTF-8 JSON"),
+    (lambda b: with_header(b, b"[]"), "not a JSON object"),
+    (lambda b: edited_header(b, lambda h: h.pop("phase")), r"lacks \['phase'\]"),
+    (lambda b: edited_header(b, lambda h: h.pop("datasets")), r"lacks \['datasets'\]"),
+    (lambda b: edited_header(b, lambda h: h.pop("model_config")), r"lacks \['model_config'\]"),
+    (lambda b: edited_header(b, lambda h: h["model_config"].update(bogus=1)), "bogus"),
+], ids=["not-utf8", "not-json", "not-object", "no-phase", "no-datasets",
+        "no-model-config", "unknown-config-key"])
+def test_malformed_header_names_the_file(tmp_path, make, message):
+    path, blob = saved_blob(tmp_path)
+    path.write_bytes(make(blob))
+    with pytest.raises(CheckpointError, match=message) as err:
+        Checkpoint.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def with_bad_shape(ckpt, name):
+    return dataclasses.replace(ckpt, records=[
+        (n, t, (1,), bytes(8)) if n == name else (n, t, s, b) for n, t, s, b in ckpt.records])
+
+
+def test_load_shared_rejects_missing_entry_and_wrong_shape():
+    ckpt = checkpoint_from_assembly(make_assembly(seed=5), "pretrain")
+    first = next(iter(make_assembly().shared_parameters()))
+    missing = dataclasses.replace(ckpt, records=[r for r in ckpt.records if r[0] != first])
+    with pytest.raises(CheckpointError, match=f"missing.*'{first}'"):
+        load_shared(ModelAssembly(CFG, seed=0), missing)
+    with pytest.raises(CheckpointError, match=f"shape mismatch for entry '{first}'"):
+        load_shared(ModelAssembly(CFG, seed=0), with_bad_shape(ckpt, first))
+
+
+def test_load_shared_installs_nothing_when_an_entry_is_bad():
+    ckpt = checkpoint_from_assembly(make_assembly(seed=5), "pretrain")
+    fresh = ModelAssembly(CFG, seed=0)
+    last = list(fresh.shared_parameters())[-1]
+    before = {n: p.data.copy() for n, p in fresh.shared_parameters().items()}
+    with pytest.raises(CheckpointError, match=last):
+        load_shared(fresh, with_bad_shape(ckpt, last))
+    for name, p in fresh.shared_parameters().items():
+        np.testing.assert_array_equal(p.data, before[name])
+    assert fresh.provenance is None
+
+
+def test_assembly_from_checkpoint_rejects_missing_and_extra_records():
+    ckpt = checkpoint_from_assembly(make_assembly(), "pretrain")
+    first = ckpt.records[0][0]
+    with pytest.raises(CheckpointError, match=f"missing.*'{first}'"):
+        assembly_from_checkpoint(dataclasses.replace(ckpt, records=ckpt.records[1:]))
+    extra = dataclasses.replace(ckpt, records=[*ckpt.records, ("extra.w", 0, (1,), bytes(8))])
+    with pytest.raises(CheckpointError, match="unexpected.*'extra.w'"):
+        assembly_from_checkpoint(extra)
 
 
 def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):

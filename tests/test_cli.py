@@ -113,6 +113,17 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("override", [
+    "phases.pretrain.batch_cap=0",
+    "phases.calibrate.batch_cap=-1",
+    'data.tasks=[{"csv": "t.csv"}]',
+    'data.tasks=[{"csv": "t.csv", "manifest": 3}]',
+])
+def test_invalid_batch_cap_or_task_entry_exits_2(tmp_path, override, capsys):
+    assert run("pretrain", tmp_path, extra=["--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2():
     assert main(["pretrain", "--config", "/nonexistent.json"]) == 2
 

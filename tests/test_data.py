@@ -68,6 +68,20 @@ def test_load_csv_bad_numeric_and_bad_target(tmp_path):
         D.load_csv(p2, m2)
 
 
+@pytest.mark.parametrize("text,row,column", [
+    ("x,y\n1,2\nnan,3\n", 3, "x"),
+    ("x,y\n-inf,2\n", 2, "x"),
+    ("x,y\n1,2\n2,3\n3,inf\n", 4, "y"),
+    ("x,y\n1,NaN\n", 2, "y"),
+])
+def test_load_csv_rejects_non_finite_values(tmp_path, text, row, column):
+    manifest = {"name": "reg", "task": "regression",
+                "columns": [{"name": "x", "kind": "numeric"}, {"name": "y", "kind": "target"}]}
+    p, m = write_csv(tmp_path, text, manifest)
+    with pytest.raises(DataError, match=rf"d\.csv: row {row}, column '{column}'"):
+        D.load_csv(p, m)
+
+
 def test_load_csv_empty_file(tmp_path):
     p, m = write_csv(tmp_path, "", MANIFEST)
     with pytest.raises(DataError, match="empty"):

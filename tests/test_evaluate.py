@@ -182,7 +182,7 @@ def test_export_coefficients_counts_and_simplex(tmp_path):
     asm.attach_dataset(sig2)
     # d5 has 3 features -> 4 tokens; d3 has 3 features -> 4 tokens; 8 layers
     path = tmp_path / "coeffs.json"
-    doc = E.export_coefficients(asm, ["d5", "d3"], path, phase="pretrained")
+    doc = E.export_coefficients(asm, ["d5", "d3"], path)
     assert len(doc["records"]) == (4 + 4) * 8
     for rec in doc["records"]:
         np.testing.assert_allclose(sum(rec["coefficients"]), 1.0, atol=1e-9)
@@ -190,7 +190,7 @@ def test_export_coefficients_counts_and_simplex(tmp_path):
         assert rec["context"] is not None
     # re-export without training in between: identical bytes
     path2 = tmp_path / "coeffs2.json"
-    E.export_coefficients(asm, ["d5", "d3"], path2, phase="pretrained")
+    E.export_coefficients(asm, ["d5", "d3"], path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -219,13 +219,6 @@ def test_build_report_deterministic_and_signed(tmp_path):
     assert (tmp_path / "report.json").read_bytes() == first
     text = (tmp_path / "report.txt").read_text()
     assert "mean rank" in text and "win 2" in text
-
-
-def test_build_report_validates_log_tasks(tmp_path):
-    table = E.ScoreTable(["a", "b"])
-    table.add_row("t1", "mse", False, {"a": 1.0, "b": 2.0})
-    with pytest.raises(DataError, match="unknown tasks"):
-        E.build_report(table, tmp_path / "r", logs={"nope": []})
 
 
 def test_score_table_missing_cell_rejected():

@@ -27,12 +27,10 @@ def rel_err(a, n):
     return np.max(np.abs(a - n)) / scale
 
 
-def check_op(build, x_shape, seed, positive=False, away_from_zero=False):
+def check_op(build, x_shape, seed, away_from_zero=False):
     """Verify reverse-mode gradient of a unary graph against finite differences."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(x_shape)
-    if positive:
-        x = np.abs(x) + 0.5
     if away_from_zero:
         x = x + 0.25 * np.sign(x)
     proj = rng.standard_normal(1)  # fixed scalar weight mix
@@ -55,8 +53,6 @@ def check_op(build, x_shape, seed, positive=False, away_from_zero=False):
 UNARY_CASES = [
     ("relu", lambda t: T.relu(t), dict(away_from_zero=True)),
     ("softplus", lambda t: T.softplus(t), {}),
-    ("exp", lambda t: T.exp(t), {}),
-    ("log", lambda t: T.log(t), dict(positive=True)),
     ("softmax", lambda t: T.softmax(t, axis=-1), {}),
     ("sum", lambda t: T.tsum(t, axis=0), {}),
     ("mean_keep", lambda t: T.tmean(t, axis=-1, keepdims=True), {}),

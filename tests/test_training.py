@@ -202,11 +202,20 @@ def test_refine_requires_calibration_first(suite):
         TR.refine(asm, bundle, TR.PhaseSpec("refine", epochs=1))
 
 
+def test_training_an_unsplit_bundle_is_a_usage_error():
+    raw = D.generate_synth_suite(SUITE_SPEC).pretrain[0]
+    asm = ModelAssembly(CFG, seed=0)
+    asm.attach_dataset(raw.schema.signature())
+    with pytest.raises(UsageError, match="split"):
+        TR.pretrain(asm, [raw], TR.PhaseSpec("pretrain", epochs=1))
+    with pytest.raises(UsageError, match="split"):
+        TR.train_from_scratch(asm, raw, TR.PhaseSpec("scratch", epochs=1))
+
+
 def test_default_epoch_policy():
     assert TR.default_calibrate_epochs("T-full") == 240
     for name in ("T-200", "T-100", "T-50", "T-20"):
         assert TR.default_calibrate_epochs(name) == 40
-    assert TR.DEFAULT_REFINE_EPOCHS == 5
 
 
 def test_weight_decay_exempt_never_decays(suite):
