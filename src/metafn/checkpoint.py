@@ -125,7 +125,10 @@ class Checkpoint:
         records = []
         for i in range(count):
             (name_len,) = struct.unpack("<H", take(2, f"record {i} name length"))
-            name = bytes(take(name_len, f"record {i} name")).decode("utf-8")
+            try:
+                name = bytes(take(name_len, f"record {i} name")).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: record {i} name is not UTF-8") from None
             tag, ndim = struct.unpack("<BB", take(2, f"{name}: dtype/ndim"))
             if tag != _F64:
                 raise CheckpointError(f"{path}: {name}: unknown dtype tag {tag}")

@@ -56,12 +56,15 @@ class Score:
     extras: dict = field(default_factory=dict)
 
 
-def score(assembly: ModelAssembly, bundle: D.DatasetBundle,
-          split_name: str) -> Score:
-    """Accuracy for binary tasks, standardized MSE for regression."""
+def score(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
+          matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Score:
+    """Accuracy for binary tasks, standardized MSE for regression.
+
+    ``matrices`` is as in ``predictions``.
+    """
     if split_name not in ("valid", "test"):
         raise UsageError("score evaluates the 'valid' or 'test' split")
-    mats = D.matrices(bundle, split_name)
+    mats = matrices if matrices is not None else D.matrices(bundle, split_name)
     pred = predictions(assembly, bundle, split_name, matrices=mats)
     y = mats[2]
     if bundle.schema.task == "binary":

@@ -364,13 +364,21 @@ class ModelAssembly:
         h = parts.tokenizer.forward(x_num, x_cat)
         for block in self.blocks:
             a_in = h if block.norm1 is None else layer_norm(h, *block.norm1, cfg.ln_eps)
-            h = h + self_attention(a_in, block.attn, cfg.n_heads)
+            # only the [CLS] token reaches the head, so in the last block it
+            # alone queries and goes on through the feed-forward sublayer
+            last = block is self.blocks[-1]
+            if last:
+                h = h[:, :1] + self_attention(a_in, block.attn, cfg.n_heads, 1)
+            else:
+                h = h + self_attention(a_in, block.attn, cfg.n_heads)
             f_in = layer_norm(h, *block.norm2, cfg.ln_eps)
             if cfg.mode == "plain":
                 f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
             else:
                 c1 = self._ffn_coefficients(parts, 2 * block.idx, block.lin1)
                 c2 = self._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
+                if last:
+                    c1, c2 = c1[:1], c2[:1]
                 f = calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
             h = h + f
         return parts.head.forward(h[:, 0, :])

@@ -72,12 +72,16 @@ def init_attention(rng: np.random.Generator, d: int, prefix: str) -> AttentionPa
     return AttentionParams(wq, bq, wk, wv, bv, wo, bo)
 
 
-def self_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
+def self_attention(x: Tensor, p: AttentionParams, heads: int,
+                   queries: int | None = None) -> Tensor:
     """Scaled dot-product multi-head self-attention with output projection.
 
-    x: [B, T, d] -> [B, T, d].  No masking, no dropout.
+    x: [B, T, d] -> [B, n, d], where the first ``n = queries`` tokens query
+    (default: all T) and every token is a key and a value.  No masking, no
+    dropout.
     """
-    q, k, v = T.linear(x, p.wq, p.bq), T.linear(x, p.wk), T.linear(x, p.wv, p.bv)
+    x_q = x if queries is None else x[:, :queries]
+    q, k, v = T.linear(x_q, p.wq, p.bq), T.linear(x, p.wk), T.linear(x, p.wv, p.bv)
     return T.linear(T.attention(q, k, v, heads), p.wo, p.bo)
 
 

@@ -404,24 +404,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     Splits the width into ``heads`` slices, softmaxes each head's
     ``q·kᵀ / sqrt(d / heads)`` over the keys, weights ``v`` with it and
-    merges the heads back into [B, S, d].  No masking, no dropout.
+    merges the heads back into [B, Sq, d].  ``q`` may hold fewer tokens
+    (Sq) than ``k`` and ``v`` (Sk): each query attends to every key.  No
+    masking, no dropout.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]):
         raise DimensionError(f"attention inputs differ: {q.shape}, {k.shape}, {v.shape}")
-    B, S, d = q.shape
+    B, _, d = q.shape
     if d % heads != 0:
         raise ConfigError(f"embedding width {d} not divisible by {heads} heads")
     dh = d // heads
 
     def split(a):
-        return a.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)  # [B, H, S, dh]
+        return a.reshape(B, a.shape[1], heads, dh).transpose(0, 2, 1, 3)  # [B, H, S, dh]
 
     def merge(a):
-        return a.transpose(0, 2, 1, 3).reshape(B, S, d)
+        return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dh)
-    weights = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale)  # [B, H, S, S]
+    weights = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale)  # [B, H, Sq, Sk]
     out_data = merge(weights @ vh)
 
     def backward(g):

@@ -137,9 +137,11 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     after step ``total``, the loop validates and logs.  With
     ``keep_best`` it scores the one table in ``bundles`` (first before any
     step) and retains the best state; otherwise it reports the mean over
-    ``bundles`` and retains the latest state.
+    ``bundles`` and retains the latest state.  Each bundle's train and
+    valid splits are transformed once, before the first step.
     """
     train = {b.schema.name: D.matrices(b, "train") for b in bundles}
+    valid = {b.schema.name: D.matrices(b, "valid") for b in bundles}
     params = {**scheduled, **constant}
     opt = AdamW([{"params": list(scheduled.values()), "lr": 0.0},
                  {"params": list(constant.values()), "lr": spec.base_lr}],
@@ -148,7 +150,8 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     kept = before = _snapshot(params)
     kept_epoch, kept_metric, higher_better = 0, float("nan"), False
     if keep_best:
-        first = E.score(assembly, bundles[0], "valid")
+        first = E.score(assembly, bundles[0], "valid",
+                        matrices=valid[bundles[0].schema.name])
         kept_metric, higher_better = first.value, first.higher_better
 
     losses: list[float] = []
@@ -173,7 +176,8 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
             if step % log_every and step != total:
                 continue
 
-            scores = [E.score(assembly, b, "valid") for b in bundles]
+            scores = [E.score(assembly, b, "valid", matrices=valid[b.schema.name])
+                      for b in bundles]
             if keep_best:
                 metric, metric_name = scores[0].value, scores[0].metric
             else:

@@ -122,6 +122,34 @@ def test_float32_tag_rejected(tmp_path):
         Checkpoint.load(path)
 
 
+def record_name_offsets(blob: bytes) -> list[int]:
+    """Where each record's name starts, walking the records after the header."""
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    pos = 16 + hlen
+    (count,) = struct.unpack("<I", blob[pos:pos + 4])
+    pos += 4
+    offsets = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", blob[pos:pos + 2])
+        offsets.append(pos + 2)
+        pos += 2 + name_len
+        ndim = blob[pos + 1]
+        shape = struct.unpack(f"<{ndim}I", blob[pos + 2:pos + 2 + 4 * ndim])
+        pos += 2 + 4 * ndim + 4 + 8 * int(np.prod(shape, dtype=np.int64))
+    assert pos == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("record", [0, 3])
+def test_record_name_that_is_not_utf8_names_file_and_record(tmp_path, record):
+    path, blob = saved_blob(tmp_path)
+    at = record_name_offsets(blob)[record]
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(CheckpointError, match=f"record {record} name is not UTF-8") as err:
+        Checkpoint.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def with_header(blob: bytes, header: bytes) -> bytes:
     (hlen,) = struct.unpack("<I", blob[12:16])
     return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen:]

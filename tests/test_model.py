@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from metafn import model as M
+from metafn import tensor as T
+from metafn.calinear import calinear_ffn_forward
 from metafn.errors import ConfigError, DataError, UsageError
 from metafn.gradcheck import check_gradients
 from metafn.model import (DatasetSignature, ModelAssembly, ModelConfig,
                           make_plain_twin)
-from metafn.nn import compute_loss
-from metafn.tensor import no_grad
+from metafn.nn import compute_loss, self_attention
+from metafn.tensor import layer_norm, no_grad
 
 SMALL = ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
 
@@ -255,3 +258,98 @@ def test_full_model_gradient_check(task):
     params = list(asm.parameters().values())
     report = check_gradients(loss, params, step=1e-5, tol=1e-4)
     assert report.passed, report.summary()
+
+
+# The forward pass as it was before the last block computed only the [CLS]
+# query: every block runs attention, norm and feed-forward on all tokens.
+
+def full_sequence_forward(asm, dataset, x_num, x_cat):
+    parts = asm.datasets[dataset]
+    cfg = asm.config
+    h = parts.tokenizer.forward(x_num, x_cat)
+    for block in asm.blocks:
+        a_in = h if block.norm1 is None else layer_norm(h, *block.norm1, cfg.ln_eps)
+        h = h + self_attention(a_in, block.attn, cfg.n_heads)
+        f_in = layer_norm(h, *block.norm2, cfg.ln_eps)
+        if cfg.mode == "plain":
+            f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
+        else:
+            c1 = asm._ffn_coefficients(parts, 2 * block.idx, block.lin1)
+            c2 = asm._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
+            f = calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
+        h = h + f
+    return parts.head.forward(h[:, 0, :])
+
+
+INTERLEAVED = ("categorical", "numeric", "numeric", "categorical", "numeric")
+
+
+def spread_assembly(mode, n_blocks, task):
+    """An assembly whose coefficient rows differ clearly from token to token."""
+    cfg = ModelConfig(d=12, n_blocks=n_blocks, n_heads=3, n_basis=3, d_ffn=10,
+                      cal_hidden=5, mode=mode)
+    asm = ModelAssembly(cfg, seed=31)
+    sig = DatasetSignature("eq", task, INTERLEAVED, (3, 2))
+    asm.attach_dataset(sig)
+    rng = np.random.default_rng(32)
+    parts = asm.datasets["eq"]
+    spread = [p for p in (parts.context, *parts.coef_logits) if p is not None]
+    if mode == "mlp":
+        spread += [p for _, layer in asm.calinear_layers()
+                   for p in (layer.cal_w1, layer.cal_w2)]
+    for p in spread:
+        p.data = rng.standard_normal(p.shape)
+    return asm, sig
+
+
+@pytest.mark.parametrize("task", ["binary", "regression"])
+@pytest.mark.parametrize("n_blocks", [1, 2])
+@pytest.mark.parametrize("mode", ["mlp", "direct", "plain"])
+def test_cls_query_forward_matches_the_full_sequence_forward(mode, n_blocks, task):
+    asm, sig = spread_assembly(mode, n_blocks, task)
+    x_num, x_cat = batch_for(sig, 6, seed=33)
+    rng = np.random.default_rng(34)
+    y = (rng.uniform(size=6) > 0.5).astype(float) if task == "binary" \
+        else rng.standard_normal(6)
+    params = asm.parameters()
+
+    def run(forward):
+        for p in params.values():
+            p.zero_grad()
+        out = forward(asm, "eq", x_num, x_cat)
+        compute_loss(out, y, task).backward()
+        return out.data, {n: p.grad for n, p in params.items()}
+
+    def assert_close(a, b, name):
+        # relative to the tensor's largest entry: entries that come out of
+        # cancellation hold few significant digits in either summation order
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
+                                   err_msg=name)
+
+    got_out, got = run(ModelAssembly.forward)
+    want_out, want = run(full_sequence_forward)
+    assert_close(got_out, want_out, "output")
+    assert {n for n, g in got.items() if g is None} == \
+        {n for n, g in want.items() if g is None}
+    for name, g in want.items():
+        if g is not None:
+            assert_close(got[name], g, name)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_only_the_last_block_attends_from_the_cls_token_alone(monkeypatch, n_blocks):
+    cfg = ModelConfig(d=8, n_blocks=n_blocks, n_heads=2, n_basis=2, d_ffn=6, cal_hidden=4)
+    asm = ModelAssembly(cfg, seed=35)
+    sig = mixed_sig(n_num=3, cards=(2,))
+    asm.attach_dataset(sig)
+    shapes = []
+
+    def recording(*args, **kwargs):
+        out = self_attention(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(M, "self_attention", recording)
+    x_num, x_cat = batch_for(sig, 5)
+    assert asm.forward("toy", x_num, x_cat).shape == (5, 1)
+    assert shapes == [(5, sig.n_tokens, 8)] * (n_blocks - 1) + [(5, 1, 8)]

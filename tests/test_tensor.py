@@ -151,6 +151,17 @@ def test_attention_gradients_100_seeds():
                               [q, k, v])
 
 
+@pytest.mark.parametrize("n_queries", [1, 2])
+def test_attention_with_fewer_queries_than_keys_gradients_100_seeds(n_queries):
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((2, n_queries, 4))
+        k, v = (rng.standard_normal((2, 5, 4)) for _ in range(2))
+        mix = rng.standard_normal((2, n_queries, 4))
+        check_input_gradients(lambda tq, tk, tv: T.tsum(T.attention(tq, tk, tv, 2) * mix),
+                              [q, k, v])
+
+
 def test_mixture_linear_gradients_100_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -262,6 +273,25 @@ def test_attention_validates_shapes():
         T.attention(x, x, Tensor(np.zeros((1, 3, 6))), 2)
     with pytest.raises(ConfigError):
         T.attention(x, x, x, 4)
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape", [
+    ((2, 1, 6), (2, 5, 6), (2, 4, 6)),   # keys and values differ in length
+    ((3, 1, 6), (2, 5, 6), (2, 5, 6)),   # batch
+    ((2, 1, 4), (2, 5, 6), (2, 5, 6)),   # width
+], ids=["key-value", "batch", "width"])
+def test_attention_with_fewer_queries_rejects_mismatched_operands(q_shape, k_shape,
+                                                                  v_shape):
+    q, k, v = (Tensor(np.zeros(s)) for s in (q_shape, k_shape, v_shape))
+    with pytest.raises(DimensionError):
+        T.attention(q, k, v, 2)
+
+
+def test_attention_with_one_query_matches_the_first_row_of_full_attention():
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.standard_normal((2, 5, 6))) for _ in range(3))
+    np.testing.assert_allclose(T.attention(q[:, :1], k, v, 3).data,
+                               T.attention(q, k, v, 3).data[:, :1], rtol=1e-13)
 
 
 def test_gather_and_concat_gradients():

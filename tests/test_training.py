@@ -124,6 +124,28 @@ def test_calibrate_changed_set_is_exactly_allowed_set(suite):
     assert any(n.endswith(".context") for n in moved)
 
 
+def test_each_phase_transforms_a_split_once(suite, monkeypatch):
+    calls = []
+    real_matrices = D.matrices
+
+    def counting(bundle, split_name):
+        calls.append((bundle.schema.name, split_name))
+        return real_matrices(bundle, split_name)
+
+    monkeypatch.setattr(D, "matrices", counting)
+    _, shared, log = pretrained(suite, epochs=3)
+    assert len(log.entries) == 3
+    assert sorted(calls) == sorted((b.schema.name, split) for b in suite.pretrain
+                                   for split in ("train", "valid"))
+    calls.clear()
+    bundle = D.prepare(suite.heldout[0], split_seed=0, setting="T-100")
+    asm = ModelAssembly(CFG, seed=0)
+    load_shared(asm, shared)
+    log = TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=5))
+    assert len(log.entries) == 5
+    assert sorted(calls) == [(bundle.schema.name, "train"), (bundle.schema.name, "valid")]
+
+
 def test_calibrate_requires_pretrained_body(suite):
     bundle = D.prepare(suite.heldout[0], split_seed=0, setting="T-100")
     asm = ModelAssembly(CFG, seed=0)
@@ -174,9 +196,9 @@ def test_refine_restores_its_best_epoch_bitwise(suite, monkeypatch):
     at_validation = []
     real_score = E.score
 
-    def spy(assembly, b, split):
+    def spy(assembly, b, split, matrices=None):
         at_validation.append(params_of(assembly))
-        return real_score(assembly, b, split)
+        return real_score(assembly, b, split, matrices)
 
     monkeypatch.setattr(E, "score", spy)
     flags = {n: p.requires_grad for n, p in asm.parameters().items()}
@@ -312,9 +334,9 @@ def test_pretrain_logs_at_epoch_boundaries(suite, monkeypatch):
         steps.append(1)
         return real_loss(*args)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         logged_after.append(len(steps))
-        return real_score(*args)
+        return real_score(*args, **kwargs)
 
     monkeypatch.setattr(TR, "compute_loss", counting_loss)
     monkeypatch.setattr(E, "score", spy)
@@ -359,9 +381,9 @@ def test_pretrain_divergence_restores_last_log_point(suite, monkeypatch):
     at_validation, at_nan = [], []
     real_score = E.score
 
-    def spy(assembly, bundle, split):
+    def spy(assembly, bundle, split, matrices=None):
         at_validation.append(params_of(assembly))
-        return real_score(assembly, bundle, split)
+        return real_score(assembly, bundle, split, matrices)
 
     monkeypatch.setattr(E, "score", spy)
     spec = TR.PhaseSpec("pretrain", epochs=4, seed=0)
@@ -391,7 +413,7 @@ def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
     scripted = [1.0, 0.9, 0.5, 0.7, 0.8, 0.6]
     at_validation, at_nan = [], []
 
-    def fake_score(assembly, b, split):
+    def fake_score(assembly, b, split, matrices=None):
         at_validation.append(params_of(assembly))
         return E.Score(scripted[len(at_validation) - 1], "mse", False)
 
