@@ -62,7 +62,7 @@ class CaLinear:
         if context.ndim != 1:
             raise DimensionError("context vector must be 1-D (one scalar per token)")
         h = T.relu(T.linear(context.reshape(context.size, 1), self.cal_w1, self.cal_b1))
-        return T.softmax(T.linear(h, self.cal_w2, self.cal_b2), axis=-1)
+        return T.softmax(T.linear(h, self.cal_w2, self.cal_b2))
 
     def forward(self, z: Tensor, coeffs: Tensor) -> Tensor:
         """Apply the coefficient-weighted mixture of basis maps.

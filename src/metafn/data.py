@@ -28,6 +28,7 @@ from .errors import DataError, UsageError
 from .model import DatasetSignature
 
 PROB_CLIP = 1e-7
+QUANTILE_JITTER = 1e-3   # tie-breaking noise before a quantile fit, in column stds
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ def get_setting(name: str) -> SettingSpec:
 class QuantileTransform:
     """Empirical-quantile map to a standard normal.
 
-    The sorted training values sit at plotting positions (i+0.5)/n;
+    The training values, jittered by ``QUANTILE_JITTER`` column standard
+    deviations to break ties, sit sorted at plotting positions (i+0.5)/n;
     between them the empirical CDF is linearly interpolated, outside
     them it is clipped to the extreme quantiles, and probabilities are
     clipped to [1e-7, 1-1e-7] before the normal inverse CDF.
@@ -122,16 +124,14 @@ class QuantileTransform:
         self.degenerate = degenerate
 
     @classmethod
-    def fit(cls, values: np.ndarray, rng: np.random.Generator,
-            noise_scale: float = 1e-3) -> "QuantileTransform":
+    def fit(cls, values: np.ndarray, rng: np.random.Generator) -> "QuantileTransform":
         v = np.asarray(values, dtype=np.float64)
         if v.size < 1:
             raise DataError("cannot fit a quantile transform on an empty column")
         if np.unique(v).size < 2:
             warnings.warn("constant column mapped to zeros by quantile transform")
             return cls(np.array([]), np.array([]), degenerate=True)
-        if noise_scale > 0:
-            v = v + rng.normal(0.0, noise_scale * v.std(), size=v.shape)
+        v = v + rng.normal(0.0, QUANTILE_JITTER * v.std(), size=v.shape)
         xs = np.sort(v)
         ps = (np.arange(xs.size) + 0.5) / xs.size
         return cls(xs, ps, degenerate=False)

@@ -20,11 +20,25 @@ from scipy.stats import rankdata
 
 from . import data as D
 from .errors import DataError, UsageError
-from .model import ModelAssembly
+from .model import ModelAssembly, ModelConfig
 from .tensor import no_grad
 
 TIE_DECIMALS = 3
-PREDICT_BATCH = 4096   # rows per no-grad forward pass
+PREDICT_BATCH = 4096          # rows per no-grad forward pass, at most
+SCORE_BYTES = 64 * 2 ** 20    # bytes of one [rows, heads, T, T] score array, at most
+
+
+def predict_rows(config: ModelConfig, n_tokens: int) -> int:
+    """Rows per no-grad forward pass on a table of ``n_tokens`` tokens.
+
+    ``PREDICT_BATCH``, or fewer on a wide table, so that one float64
+    attention-score array stays within ``SCORE_BYTES``.  Where 8 rows fit,
+    the count is a multiple of 8: BLAS rounds the rows of a ragged last tile
+    differently, so only then do the outputs not depend on where the blocks
+    split.
+    """
+    row_bytes = 8 * config.n_heads * n_tokens * n_tokens
+    return max(1, min(PREDICT_BATCH, SCORE_BYTES // row_bytes) // 8 * 8)
 
 
 def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
@@ -40,9 +54,10 @@ def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: st
     if n == 0:
         raise UsageError(f"split {split_name!r} of {bundle.schema.name!r} is empty")
     out = np.empty(n)
+    rows = predict_rows(assembly.config, bundle.schema.signature().n_tokens)
     with no_grad():
-        for lo in range(0, n, PREDICT_BATCH):
-            hi = min(lo + PREDICT_BATCH, n)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
             out[lo:hi] = assembly.forward(bundle.schema.name,
                                           x_num[lo:hi], x_cat[lo:hi]).data[:, 0]
     return out

@@ -354,7 +354,7 @@ class ModelAssembly:
 
     def _ffn_coefficients(self, parts: DatasetParts, layer_idx: int, layer) -> Tensor:
         if self.config.mode == "direct":
-            return T.softmax(parts.coef_logits[layer_idx], axis=-1)
+            return T.softmax(parts.coef_logits[layer_idx])
         return layer.coefficients(parts.context)
 
     def forward(self, dataset: str, x_num: np.ndarray, x_cat: np.ndarray) -> Tensor:

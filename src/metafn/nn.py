@@ -80,9 +80,9 @@ def self_attention(x: Tensor, p: AttentionParams, heads: int,
     (default: all T) and every token is a key and a value.  No masking, no
     dropout.
     """
-    x_q = x if queries is None else x[:, :queries]
-    q, k, v = T.linear(x_q, p.wq, p.bq), T.linear(x, p.wk), T.linear(x, p.wv, p.bv)
-    return T.linear(T.attention(q, k, v, heads), p.wo, p.bo)
+    n = x.shape[1] if queries is None else queries
+    ctx = T.attention(x, p.wq, p.bq, p.wk, p.wv, p.bv, heads, n)
+    return T.linear(ctx, p.wo, p.bo)
 
 
 def compute_loss(pred: Tensor, target: np.ndarray, task: str) -> Tensor:

@@ -13,6 +13,7 @@ which makes evaluation passes cheap and memory-light.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,11 +36,29 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _colsum(a2: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-D array, as one BLAS product with a ones vector."""
+    return np.ones(a2.shape[0]) @ a2
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, as one BLAS product with a ones vector."""
+    n = a.shape[-1]
+    return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1])
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over the axes numpy broadcasting introduced or expanded."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        tail = grad.shape[extra:]
+        grad = _colsum(grad.reshape(math.prod(grad.shape[:extra]), math.prod(tail)))
+        grad = grad.reshape(tail)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -335,7 +354,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         bias = _to_const(bias)
         if bias.shape != (weight.shape[1],):
             raise DimensionError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
-        out2 = out2 + bias.data
+        out2 += bias.data
         parents = (x, weight, bias)
     out_data = out2.reshape(*lead, weight.shape[1])
 
@@ -345,7 +364,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if weight.requires_grad:
             weight._accumulate(x2.T @ g2)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(_colsum(g2))
 
     return Tensor._from_op(out_data, parents, backward)
 
@@ -355,88 +374,142 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
     x, gamma, beta = _to_const(x), _to_const(gamma), _to_const(beta)
-    if x.shape[-1] == 0:
+    n = x.shape[-1]
+    if n == 0:
         raise DimensionError("layer_norm over an empty feature axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gamma.data + beta.data
+    x2 = np.ascontiguousarray(x.data).reshape(-1, n)
+    xhat = x2 - (_rowsum(x2) / n)[:, None]
+    inv = (1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps))[:, None]
+    xhat *= inv
+    out2 = xhat * gamma.data
+    out2 += beta.data
 
     def backward(g):
-        axes = tuple(range(g.ndim - 1))
-        beta._accumulate(g.sum(axis=axes))
-        gamma._accumulate((g * xhat).sum(axis=axes))
-        gx = g * gamma.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate((gx - m1 - xhat * m2) * inv)
+        g2 = np.ascontiguousarray(g).reshape(-1, n)
+        if beta.requires_grad:
+            beta._accumulate(_colsum(g2))
+        buf = g2 * xhat
+        if gamma.requires_grad:
+            gamma._accumulate(_colsum(buf))
+        gx = g2 * gamma.data
+        m2 = _rowdot(gx, xhat) / n
+        gx -= (_rowsum(gx) / n)[:, None]
+        gx -= np.multiply(xhat, m2[:, None], out=buf)
+        gx *= inv
+        x._accumulate(gx.reshape(x.shape))
 
-    return Tensor._from_op(out_data, (x, gamma, beta), backward)
-
-
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax_backward(g: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = (g * out).sum(axis=axis, keepdims=True)
-    return out * (g - inner)
+    return Tensor._from_op(out2.reshape(x.shape), (x, gamma, beta), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; outputs are positive and sum to one."""
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in a contiguous array."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= _rowsum(scores)[..., None]
+    return scores
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    grad = g - _rowdot(g, out)[..., None]
+    grad *= out
+    return grad
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis; outputs are positive and sum to one."""
     a = _to_const(a)
-    if a.shape[axis if axis >= 0 else a.ndim + axis] == 0:
+    if a.shape[-1] == 0:
         raise DimensionError("softmax over an empty axis")
-    out_data = _softmax(a.data, axis)
+    out_data = _softmax(a.data.copy())
 
     def backward(g):
-        a._accumulate(_softmax_backward(g, out_data, axis))
+        a._accumulate(_softmax_backward(g, out_data))
 
     return Tensor._from_op(out_data, (a,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of [B, S, d] projections, as one node.
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+              heads: int, queries: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention of [B, S, d] tokens, as one node.
 
-    Splits the width into ``heads`` slices, softmaxes each head's
-    ``q·kᵀ / sqrt(d / heads)`` over the keys, weights ``v`` with it and
-    merges the heads back into [B, Sq, d].  ``q`` may hold fewer tokens
-    (Sq) than ``k`` and ``v`` (Sk): each query attends to every key.  No
+    Projects queries ``x @ wq + bq``, keys ``x @ wk`` (no bias) and values
+    ``x @ wv + bv``, splits the width into ``heads`` slices, softmaxes each
+    head's ``q·kᵀ / sqrt(d / heads)`` over the keys, weights the values with
+    it and merges the heads into [B, queries, d].  The first ``queries``
+    tokens query; every token is a key and a value.  The projections run as
+    one packed GEMM, ``x @ [wq|wk|wv]``, or ``x @ [wk|wv]`` plus a product
+    of the querying tokens alone when fewer than S tokens query.  No
     masking, no dropout.
     """
-    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
-            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]):
-        raise DimensionError(f"attention inputs differ: {q.shape}, {k.shape}, {v.shape}")
-    B, _, d = q.shape
+    x, wq, bq, wk, wv, bv = (_to_const(t) for t in (x, wq, bq, wk, wv, bv))
+    if x.ndim != 3:
+        raise DimensionError(f"attention input must be [B, S, d], got {x.shape}")
+    B, S, d = x.shape
+    if (any(w.shape != (d, d) for w in (wq, wk, wv))
+            or bq.shape != (d,) or bv.shape != (d,)):
+        raise DimensionError(
+            f"attention projections {wq.shape}, {bq.shape}, {wk.shape}, {wv.shape}, "
+            f"{bv.shape} do not match width {d}")
+    if not 1 <= queries <= S:
+        raise DimensionError(f"{queries} queries out of {S} tokens")
     if d % heads != 0:
         raise ConfigError(f"embedding width {d} not divisible by {heads} heads")
     dh = d // heads
+    every = queries == S
+    x2 = x.data.reshape(B * S, d)
+    w_packed = np.concatenate([wq.data, wk.data, wv.data] if every else [wk.data, wv.data],
+                              axis=1)
+    n_proj = w_packed.shape[1] // d
+    proj = x2 @ w_packed   # [B*S, n_proj*d]: [q|k|v] or [k|v]
+    proj[:, -d:] += bv.data
+    if every:
+        proj[:, :d] += bq.data
+        xq2, q2 = x2, proj[:, :d]
+    else:
+        xq2 = x2.reshape(B, S, d)[:, :queries].reshape(B * queries, d)
+        q2 = xq2 @ wq.data
+        q2 += bq.data
 
-    def split(a):
-        return a.reshape(B, a.shape[1], heads, dh).transpose(0, 2, 1, 3)  # [B, H, S, dh]
+    def split(a2, n_tok):   # [B*n_tok, d] view -> [B, H, n_tok, dh]
+        return a2.reshape(B, n_tok, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):
-        return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(q2, queries), split(proj[:, -2 * d:-d], S), split(proj[:, -d:], S)
     scale = 1.0 / np.sqrt(dh)
-    weights = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale)  # [B, H, Sq, Sk]
-    out_data = merge(weights @ vh)
+    weights = qh @ kh.transpose(0, 1, 3, 2)   # [B, H, queries, S]
+    weights *= scale
+    _softmax(weights)
+    ctx = np.empty((B, queries, heads, dh))
+    np.matmul(weights, vh, out=ctx.transpose(0, 2, 1, 3))
+    out_data = ctx.reshape(B, queries, d)
 
     def backward(g):
-        g_ctx = split(g)
-        g_weights = g_ctx @ np.swapaxes(vh, -1, -2)
-        v._accumulate(merge(np.swapaxes(weights, -1, -2) @ g_ctx))
-        g_scores = _softmax_backward(g_weights, weights) * scale
-        q._accumulate(merge(g_scores @ kh))
-        k._accumulate(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)))
+        g_ctx = g.reshape(B, queries, heads, dh).transpose(0, 2, 1, 3)
+        g_weights = g_ctx @ vh.transpose(0, 1, 3, 2)
+        g_proj = np.empty((B, S, n_proj, heads, dh))   # [B, S, (q|)k|v, H, dh]
+        np.matmul(weights.transpose(0, 1, 3, 2), g_ctx,
+                  out=g_proj[:, :, -1].transpose(0, 2, 1, 3))
+        g_scores = _softmax_backward(g_weights, weights)
+        g_scores *= scale
+        g_proj[:, :, -2] = (qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 3, 1, 2)
+        g_q = g_proj[:, :, 0] if every else np.empty((B, queries, heads, dh))
+        np.matmul(g_scores, kh, out=g_q.transpose(0, 2, 1, 3))
+        g_proj2 = g_proj.reshape(B * S, n_proj * d)
+        gq2 = g_proj2[:, :d] if every else g_q.reshape(B * queries, d)
+        gx = g_proj2 @ w_packed.T
+        if not every:
+            gx.reshape(B, S, d)[:, :queries] += (gq2 @ wq.data.T).reshape(B, queries, d)
+        x._accumulate(gx.reshape(B, S, d))
+        if wq.requires_grad or wk.requires_grad or wv.requires_grad:
+            gw = x2.T @ g_proj2
+            wq._accumulate(gw[:, :d] if every else xq2.T @ gq2)
+            wk._accumulate(gw[:, -2 * d:-d])
+            wv._accumulate(gw[:, -d:])
+        if bq.requires_grad:
+            bq._accumulate(_colsum(gq2))
+        if bv.requires_grad:
+            bv._accumulate(_colsum(g_proj2[:, -d:]))
 
-    # parent order as in the unfused graph: shared inputs sum gradients in the same order
-    return Tensor._from_op(out_data, (q, k, v), backward)
+    return Tensor._from_op(out_data, (x, wq, bq, wk, wv, bv), backward)
 
 
 def mixture_linear(z: Tensor, coeffs: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -452,10 +525,12 @@ def mixture_linear(z: Tensor, coeffs: Tensor, weight: Tensor, bias: Tensor) -> T
     w_flat = weight.data.reshape(n_basis, d_in * d_out)
     w_eff = (coeffs.data @ w_flat).reshape(n_tok, d_in, d_out)
     z_t = z.data.transpose(1, 0, 2)  # [T, B, d_in]
-    out_data = (z_t @ w_eff).transpose(1, 0, 2) + coeffs.data @ bias.data
+    out_data = np.empty((z.shape[0], n_tok, d_out))
+    np.matmul(z_t, w_eff, out=out_data.transpose(1, 0, 2))
+    out_data += coeffs.data @ bias.data
 
     def backward(g):
-        g_bias = np.ascontiguousarray(g.sum(axis=0))  # [T, d_out]
+        g_bias = _colsum(np.ascontiguousarray(g).reshape(g.shape[0], -1)).reshape(n_tok, d_out)
         g_t = g.transpose(1, 0, 2)
         z._accumulate((g_t @ np.swapaxes(w_eff, -1, -2)).transpose(1, 0, 2))
         g_w = np.ascontiguousarray(np.swapaxes(z_t, -1, -2) @ g_t).reshape(n_tok, -1)

@@ -156,15 +156,13 @@ def test_unknown_setting_is_usage_error():
 
 
 def test_quantile_plotting_positions():
-    rng = np.random.default_rng(0)
-    qt = D.QuantileTransform.fit(np.array([1.0, 2.0, 3.0]), rng, noise_scale=0.0)
-    got = qt.apply(np.array([1.0, 2.0, 3.0]))
     from scipy.special import ndtri
-    want = ndtri([1 / 6, 3 / 6, 5 / 6])
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    assert got[1] == 0.0  # the median maps to zero
+    qt = D.QuantileTransform.fit(np.array([1.0, 2.0, 3.0]), np.random.default_rng(0))
+    np.testing.assert_array_equal(qt.knots_p, [1 / 6, 1 / 2, 5 / 6])
+    np.testing.assert_array_equal(qt.apply(qt.knots_x), ndtri(qt.knots_p))
+    assert qt.apply(qt.knots_x[1:2])[0] == 0.0  # the median maps to zero
     # below the minimum: clipped to the lowest quantile
-    np.testing.assert_allclose(qt.apply(np.array([-100.0])), [want[0]], atol=1e-12)
+    np.testing.assert_array_equal(qt.apply(qt.knots_x[:1] - 100.0), ndtri([1 / 6]))
 
 
 def test_quantile_constant_column_warns_and_zeroes():

@@ -231,3 +231,31 @@ def test_score_table_roundtrip():
     t = make_table([[0.1, 0.2], [0.3, 0.4]], higher_better=False)
     t2 = E.ScoreTable.from_dict(json.loads(json.dumps(t.to_dict())))
     assert t2.values == t.values and t2.methods == t.methods
+
+
+def test_predictions_in_several_blocks_equal_one_block_bitwise(monkeypatch):
+    bundle = prepared_bundle(n=225, seed=5)
+    asm = ModelAssembly(ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12,
+                                    cal_hidden=4), seed=6)
+    asm.attach_dataset(bundle.schema.signature())
+    whole = E.predictions(asm, bundle, "test")
+    assert whole.shape == (45,)
+    # a budget of 16 to 23 rows' score arrays: blocks of 16, 16 and 13 rows
+    row_bytes = 2 * 4 * 4 * 8
+    monkeypatch.setattr(E, "SCORE_BYTES", 24 * row_bytes - 1)
+    assert E.predict_rows(asm.config, 4) == 16
+    np.testing.assert_array_equal(E.predictions(asm, bundle, "test"), whole)
+
+
+def test_predict_rows_bounds_one_attention_score_array():
+    acceptance = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
+    # a 9-token table still scores 4096 rows at a time
+    assert E.predict_rows(acceptance, 9) == E.PREDICT_BATCH == 4096
+    # at 101 tokens one 4096-row score array would take 1.25 GiB (4 heads)
+    # or 2.5 GiB (8 heads); the budget allows 200 and 96 rows
+    for cfg, want in ((acceptance, 200), (ModelConfig(), 96)):
+        row_bytes = cfg.n_heads * 101 * 101 * 8
+        rows = E.predict_rows(cfg, 101)
+        assert rows == want
+        assert rows * row_bytes <= E.SCORE_BYTES < (rows + 8) * row_bytes
+    assert E.predict_rows(acceptance, 10_000) == 1

@@ -353,3 +353,21 @@ def test_only_the_last_block_attends_from_the_cls_token_alone(monkeypatch, n_blo
     x_num, x_cat = batch_for(sig, 5)
     assert asm.forward("toy", x_num, x_cat).shape == (5, 1)
     assert shapes == [(5, sig.n_tokens, 8)] * (n_blocks - 1) + [(5, 1, 8)]
+
+
+def test_acceptance_training_step_builds_54_graph_nodes():
+    # pins the fused primitives: each attention, layer norm and CaLinear mix
+    # is one node, so a change that splits one into several nodes fails here
+    cfg = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
+    asm = ModelAssembly(cfg, seed=0)
+    sig = numeric_sig(n=8)
+    asm.attach_dataset(sig)
+    x_num, x_cat = batch_for(sig, 128)
+    loss = compute_loss(asm.forward("nums", x_num, x_cat), x_num[:, 0], "regression")
+    nodes, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in nodes:
+            nodes.add(id(t))
+            stack.extend(t._parents)
+    assert len(nodes) == 54

@@ -53,7 +53,7 @@ def check_op(build, x_shape, seed, away_from_zero=False):
 UNARY_CASES = [
     ("relu", lambda t: T.relu(t), dict(away_from_zero=True)),
     ("softplus", lambda t: T.softplus(t), {}),
-    ("softmax", lambda t: T.softmax(t, axis=-1), {}),
+    ("softmax", lambda t: T.softmax(t), {}),
     ("sum", lambda t: T.tsum(t, axis=0), {}),
     ("mean_keep", lambda t: T.tmean(t, axis=-1, keepdims=True), {}),
     ("reshape", lambda t: t.reshape(6, 2), {}),
@@ -142,24 +142,27 @@ def check_input_gradients(graph, arrays):
         assert rel_err(t.grad, numeric_grad(f, arrays[pos].copy())) <= 1e-4
 
 
-def test_attention_gradients_100_seeds():
+def attention_arrays(rng, B, S, d):
+    """x and the six projections wq, bq, wk, wv, bv of one attention node."""
+    return [rng.standard_normal((B, S, d)), rng.standard_normal((d, d)), rng.standard_normal(d),
+            rng.standard_normal((d, d)), rng.standard_normal((d, d)), rng.standard_normal(d)]
+
+
+def check_attention_gradients(S, queries):
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        q, k, v = (rng.standard_normal((2, 3, 4)) for _ in range(3))
-        mix = rng.standard_normal((2, 3, 4))
-        check_input_gradients(lambda tq, tk, tv: T.tsum(T.attention(tq, tk, tv, 2) * mix),
-                              [q, k, v])
+        arrays = attention_arrays(rng, 2, S, 4)
+        mix = rng.standard_normal((2, queries, 4))
+        check_input_gradients(lambda *t: T.tsum(T.attention(*t, 2, queries) * mix), arrays)
+
+
+def test_attention_gradients_100_seeds():
+    check_attention_gradients(3, 3)
 
 
 @pytest.mark.parametrize("n_queries", [1, 2])
 def test_attention_with_fewer_queries_than_keys_gradients_100_seeds(n_queries):
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        q = rng.standard_normal((2, n_queries, 4))
-        k, v = (rng.standard_normal((2, 5, 4)) for _ in range(2))
-        mix = rng.standard_normal((2, n_queries, 4))
-        check_input_gradients(lambda tq, tk, tv: T.tsum(T.attention(tq, tk, tv, 2) * mix),
-                              [q, k, v])
+    check_attention_gradients(5, n_queries)
 
 
 def test_mixture_linear_gradients_100_seeds():
@@ -192,16 +195,18 @@ def ref_transpose(a, axes):
                            lambda g: a._accumulate(g.transpose(inverse)))
 
 
-def ref_attention(q, k, v, heads):
-    B, S, d = q.shape
+def ref_attention(x, wq, bq, wk, wv, bv, heads, queries):
+    B, S, d = x.shape
     dh = d // heads
+    q = T.linear(x if queries == S else x[:, :queries], wq, bq)
+    k, v = T.linear(x, wk), T.linear(x, wv, bv)
 
     def split(t):
-        return ref_transpose(t.reshape(B, S, heads, dh), (0, 2, 1, 3))
+        return ref_transpose(t.reshape(B, t.shape[1], heads, dh), (0, 2, 1, 3))
 
     scores = ref_matmul(split(q), ref_transpose(split(k), (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    ctx = ref_matmul(T.softmax(scores, axis=-1), split(v))
-    return ref_transpose(ctx, (0, 2, 1, 3)).reshape(B, S, d)
+    ctx = ref_matmul(T.softmax(scores), split(v))
+    return ref_transpose(ctx, (0, 2, 1, 3)).reshape(B, queries, d)
 
 
 def ref_mixture_linear(z, coeffs, weight, bias):
@@ -212,37 +217,60 @@ def ref_mixture_linear(z, coeffs, weight, bias):
     return out + T.linear(coeffs, bias)
 
 
-def test_fused_attention_and_mixture_match_the_composed_graph_bitwise():
+@pytest.mark.parametrize("queries", [6, 1, 2])
+def test_fused_attention_matches_the_composed_graph(queries):
+    # outputs and projection gradients are bitwise equal; only the input
+    # gradient, one packed product in place of three summed ones, rounds
+    # differently.  Head width 6 keeps the score scale off a power of two.
+    rng = np.random.default_rng(23)
+    arrays = attention_arrays(rng, 5, 6, 12)
+    mix = rng.standard_normal((5, queries, 12))
+
+    def run(attention):
+        t = [Tensor(a, requires_grad=True) for a in arrays]
+        out = attention(*t, 2, queries)
+        T.tsum(out * mix).backward()
+        return out.data, [p.grad for p in t]
+
+    (fused, fused_grads), (ref, ref_grads) = run(T.attention), run(ref_attention)
+    np.testing.assert_array_equal(fused, ref)
+    for got, want in zip(fused_grads[1:], ref_grads[1:]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(fused_grads[0], ref_grads[0], rtol=0,
+                               atol=1e-12 * np.abs(ref_grads[0]).max())
+
+
+def test_fused_mixture_matches_the_composed_graph_bitwise():
     # two residual blocks of attention and a CaLinear feed-forward whose four
     # coefficient rows share one context, as in the model: the input and the
     # context each take four gradient contributions, so the order they are
-    # summed in shows; head width 6 keeps the score scale off a power of two
+    # summed in shows
     rng = np.random.default_rng(17)
     B, S, d, M, d_ffn = 5, 6, 12, 3, 7
     arrays = {
         "x": rng.standard_normal((B, S, d)), "wq": rng.standard_normal((d, d)),
-        "wk": rng.standard_normal((d, d)), "wv": rng.standard_normal((d, d)),
+        "bq": rng.standard_normal(d), "wk": rng.standard_normal((d, d)),
+        "wv": rng.standard_normal((d, d)), "bv": rng.standard_normal(d),
         "context": rng.standard_normal(S), "cal": rng.standard_normal((1, M)),
         "w1": rng.standard_normal((M, d, d_ffn)), "b1": rng.standard_normal((M, d_ffn)),
         "w2": rng.standard_normal((M, d_ffn, d)), "b2": rng.standard_normal((M, d)),
     }
     mix = rng.standard_normal((B, S, d))
 
-    def run(attention, mixture_linear):
+    def run(mixture_linear):
         t = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
         coeffs = [T.softmax(T.linear(t["context"].reshape(S, 1), t["cal"]) * s)
                   for s in (1.0, 2.0, 3.0, 4.0)]
         h = t["x"]
         for c1, c2 in (coeffs[:2], coeffs[2:]):
-            h = h + attention(T.linear(h, t["wq"]), T.linear(h, t["wk"]),
-                              T.linear(h, t["wv"]), 2)
+            h = h + T.attention(h, t["wq"], t["bq"], t["wk"], t["wv"], t["bv"], 2, S)
             h = h + mixture_linear(T.relu(mixture_linear(h, c1, t["w1"], t["b1"])),
                                    c2, t["w2"], t["b2"])
         T.tsum(h * mix).backward()
         return [h.data] + [t[n].grad for n in arrays]
 
-    fused = run(T.attention, T.mixture_linear)
-    for got, want in zip(fused, run(ref_attention, ref_mixture_linear)):
+    fused = run(T.mixture_linear)
+    for got, want in zip(fused, run(ref_mixture_linear)):
         np.testing.assert_array_equal(got, want)
     assert all(g is not None for g in fused)
 
@@ -267,31 +295,59 @@ def test_fused_primitives_skip_gradients_of_frozen_operands():
     assert x.grad is not None
 
 
+def attention_of(x_shape, wk_shape=(6, 6), wv_shape=(6, 6), bq_shape=(6,), heads=2,
+                 queries=1):
+    x = Tensor(np.zeros(x_shape))
+    w, b = Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))
+    return T.attention(x, w, Tensor(np.zeros(bq_shape)), Tensor(np.zeros(wk_shape)),
+                       Tensor(np.zeros(wv_shape)), b, heads, queries)
+
+
 def test_attention_validates_shapes():
-    x = Tensor(np.zeros((1, 2, 6)))
     with pytest.raises(DimensionError):
-        T.attention(x, x, Tensor(np.zeros((1, 3, 6))), 2)
+        attention_of((2, 6))
     with pytest.raises(ConfigError):
-        T.attention(x, x, x, 4)
+        attention_of((1, 2, 6), heads=4)
 
 
-@pytest.mark.parametrize("q_shape,k_shape,v_shape", [
-    ((2, 1, 6), (2, 5, 6), (2, 4, 6)),   # keys and values differ in length
-    ((3, 1, 6), (2, 5, 6), (2, 5, 6)),   # batch
-    ((2, 1, 4), (2, 5, 6), (2, 5, 6)),   # width
-], ids=["key-value", "batch", "width"])
-def test_attention_with_fewer_queries_rejects_mismatched_operands(q_shape, k_shape,
-                                                                  v_shape):
-    q, k, v = (Tensor(np.zeros(s)) for s in (q_shape, k_shape, v_shape))
+@pytest.mark.parametrize("kw", [
+    dict(wv_shape=(6, 4)),               # keys and values differ in width
+    dict(x_shape=(2, 5, 4)),             # input width
+    dict(bq_shape=(4,)),                 # query bias
+    dict(queries=0),
+    dict(queries=6),                     # more queries than tokens
+], ids=["key-value", "width", "bias", "no-queries", "queries"])
+def test_attention_with_fewer_queries_rejects_mismatched_operands(kw):
     with pytest.raises(DimensionError):
-        T.attention(q, k, v, 2)
+        attention_of(**{"x_shape": (2, 5, 6), **kw})
 
 
 def test_attention_with_one_query_matches_the_first_row_of_full_attention():
     rng = np.random.default_rng(3)
-    q, k, v = (Tensor(rng.standard_normal((2, 5, 6))) for _ in range(3))
-    np.testing.assert_allclose(T.attention(q[:, :1], k, v, 3).data,
-                               T.attention(q, k, v, 3).data[:, :1], rtol=1e-13)
+    arrays = [Tensor(a) for a in attention_arrays(rng, 2, 5, 6)]
+    np.testing.assert_allclose(T.attention(*arrays, 3, 1).data,
+                               T.attention(*arrays, 3, 5).data[:, :1], rtol=1e-13)
+
+
+def test_layer_norm_and_linear_on_non_contiguous_input_match_a_contiguous_copy_bitwise():
+    rng = np.random.default_rng(29)
+    base = rng.standard_normal((7, 4, 9))
+    w, b = rng.standard_normal((7, 5)), rng.standard_normal(5)
+    gamma, beta = rng.standard_normal(7), rng.standard_normal(7)
+    mix_norm, mix_lin = rng.standard_normal((4, 9, 7)), rng.standard_normal((4, 9, 5))
+
+    def run(x):
+        t = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, w, b)]
+        norm, lin = T.layer_norm(t[0], t[1], t[2]), T.linear(t[0], t[3], t[4])
+        (T.tsum(norm * mix_norm) + T.tsum(lin * mix_lin)).backward()
+        return [norm.data, lin.data] + [p.grad for p in t]
+
+    wide = rng.standard_normal((4, 9, 11))
+    # the feature axis strided, and rows strided over a wider array
+    for strided in (base.transpose(1, 2, 0), wide[..., 2:9]):
+        assert not strided.flags.c_contiguous
+        for got, want in zip(run(strided), run(np.ascontiguousarray(strided))):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_gather_and_concat_gradients():
