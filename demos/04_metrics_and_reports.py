@@ -36,7 +36,7 @@ for a, b in (("mixture", "gbdt"), ("mixture", "mlp"), ("gbdt", "mlp")):
     print(f"  {a} vs {b}: {w}/{t}/{l}")
 
 out = Path(tempfile.mkdtemp()) / "report"
-E.build_report(table, out)
+E.build_report({"main": table}, out)
 print(f"\nreport written to {out}.json and {out}.txt")
 print("-" * 40)
 print(out.with_suffix(".txt").read_text())

@@ -50,12 +50,12 @@ class Checkpoint:
     datasets: dict[str, DatasetSignature]
     phase: str
     rng_state: dict | None
-    records: list[tuple[str, int, tuple[int, ...], bytes]]
+    records: list[tuple[str, tuple[int, ...], bytes]]   # (name, shape, payload)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """A fresh, writeable float64 array per record."""
         return {name: np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-                for name, _, shape, payload in self.records}
+                for name, shape, payload in self.records}
 
     # -- serialization --------------------------------------------------------
 
@@ -70,11 +70,11 @@ class Checkpoint:
         hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
         chunks = [MAGIC, struct.pack("<II", VERSION, len(hbytes)), hbytes,
                   struct.pack("<I", len(self.records))]
-        for name, tag, shape, payload in self.records:
+        for name, shape, payload in self.records:
             nbytes = name.encode("utf-8")
             chunks.append(struct.pack("<H", len(nbytes)))
             chunks.append(nbytes)
-            chunks.append(struct.pack("<BB", tag, len(shape)))
+            chunks.append(struct.pack("<BB", _F64, len(shape)))
             chunks.append(struct.pack(f"<{len(shape)}I", *shape))
             chunks.append(struct.pack("<I", zlib.crc32(payload)))
             chunks.append(payload)
@@ -138,7 +138,7 @@ class Checkpoint:
             payload = bytes(take(size, f"{name}: payload"))
             if zlib.crc32(payload) != crc:
                 raise CheckpointError(f"{path}: corrupt payload for entry {name!r}")
-            records.append((name, tag, tuple(shape), payload))
+            records.append((name, tuple(shape), payload))
         if pos != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
         return cls(
@@ -152,7 +152,7 @@ class Checkpoint:
 
 def checkpoint_from_assembly(assembly: ModelAssembly, phase: str,
                              rng_state: dict | None = None) -> Checkpoint:
-    records = [(name, _F64, p.shape, np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    records = [(name, p.shape, np.ascontiguousarray(p.data, dtype="<f8").tobytes())
                for name, p in assembly.parameters().items()]
     return Checkpoint(
         config=assembly.config,
@@ -185,10 +185,9 @@ def _install(assembly: ModelAssembly, params: dict, ckpt: Checkpoint) -> None:
 
 def load_shared(assembly: ModelAssembly, ckpt: Checkpoint) -> None:
     """Install the checkpoint's shared body into ``assembly``."""
-    if assembly.config.compat_key() != ckpt.config.compat_key():
+    if assembly.config != ckpt.config:
         raise CheckpointError(
-            f"config mismatch: assembly {assembly.config.compat_key()} vs "
-            f"checkpoint {ckpt.config.compat_key()}")
+            f"config mismatch: assembly {assembly.config} vs checkpoint {ckpt.config}")
     _install(assembly, assembly.shared_parameters(), ckpt)
 
 

@@ -159,7 +159,7 @@ def cmd_report(cfg: RunConfig, out: Path) -> None:
         raise UsageError(f"missing {scores_path}; run eval first")
     table = E.ScoreTable.from_dict(json.loads(scores_path.read_text()))
     report_prefix = out / "report"
-    E.build_report(table, report_prefix)
+    E.build_report({"main": table}, report_prefix)
     _provenance(cfg, "report", report_prefix.with_suffix(".json"))
     _log(f"wrote {report_prefix.with_suffix('.json')} and .txt")
 

@@ -167,9 +167,6 @@ class DatasetBundle:
             raise UsageError(f"split {self.schema.name!r} first")
         return {k: len(v) for k, v in self.splits.items()}
 
-    def copy_shallow(self) -> "DatasetBundle":
-        return replace(self)
-
 
 def split(bundle: DatasetBundle, seed: int) -> dict[str, np.ndarray]:
     """80:20 split into pool/test, then 20% of the pool becomes validation."""
@@ -198,7 +195,7 @@ def apply_setting(bundle: DatasetBundle, setting: SettingSpec | str,
     if bundle.splits is None:
         raise UsageError("split the bundle before applying a setting")
     rng = np.random.default_rng(seed)
-    out = bundle.copy_shallow()
+    out = replace(bundle)
     new = dict(bundle.splits)
     for key, cap in (("train", setting.train_cap), ("valid", setting.valid_cap)):
         idx = bundle.splits[key]

@@ -244,15 +244,14 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_report(main: ScoreTable, out_prefix,
-                 ablations: dict[str, ScoreTable] | None = None) -> dict:
-    """Assemble the comparison report and write <prefix>.json / <prefix>.txt.
+def build_report(tables: dict[str, ScoreTable], out_prefix) -> dict:
+    """Write one section per named table to <prefix>.json / <prefix>.txt.
 
-    Regenerating from identical inputs produces byte-identical files.
+    Sections appear in the text in the order of ``tables``; the main
+    comparison is conventionally named "main".  Regenerating from identical
+    inputs produces byte-identical files.
     """
-    report = {"main": _table_section(main)}
-    for name, table in (ablations or {}).items():
-        report[f"ablation:{name}"] = _table_section(table)
+    report = {name: _table_section(table) for name, table in tables.items()}
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:

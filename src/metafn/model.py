@@ -2,9 +2,12 @@
 
 The shared body is a stack of pre-norm transformer blocks whose
 feed-forward sublayers are pairs of calibratable linear layers.  Each
-attached dataset owns its feature tokenizer, output head, and (in MLP
-coefficient mode) a context vector with one scalar per token; those are
-the only parts trained from scratch downstream.
+attached dataset owns its feature tokenizer, output head, and its
+coefficient source: in MLP mode a context vector, in direct mode one logit
+matrix per layer.  Those are the only parts trained from scratch
+downstream.  Each layer's coefficients have one row per token its block's
+feed-forward reads: every token in earlier blocks, the [CLS] token alone in
+the last block, the only token that goes on to the head.
 
 Coefficient modes:
   * ``mlp``    - coefficients come from each layer's calibration MLP fed
@@ -39,8 +42,6 @@ class ModelConfig:
     n_basis: int = 4
     d_ffn: int = 256
     cal_hidden: int = 16
-    ln_eps: float = 1e-5
-    dropout: float = 0.0  # reserved; only 0.0 is supported
     mode: str = "mlp"
 
     def validate(self) -> None:
@@ -50,12 +51,6 @@ class ModelConfig:
             raise ConfigError("n_basis and n_blocks must be at least 1")
         if self.mode not in COEFFICIENT_MODES:
             raise ConfigError(f"unknown coefficient mode {self.mode!r}")
-        if self.dropout != 0.0:
-            raise ConfigError("only dropout=0.0 is supported")
-
-    def compat_key(self) -> tuple:
-        return (self.d, self.n_blocks, self.n_heads, self.n_basis,
-                self.d_ffn, self.cal_hidden, self.mode)
 
 
 @dataclass(frozen=True)
@@ -184,8 +179,7 @@ class FeatureTokenizer:
 class OutputHead:
     """Per-dataset readout: layer norm -> ReLU -> affine to one output."""
 
-    def __init__(self, d: int, rng: np.random.Generator, prefix: str, eps: float):
-        self.eps = eps
+    def __init__(self, d: int, rng: np.random.Generator, prefix: str):
         self.gamma = Parameter(np.ones(d), f"{prefix}.norm.gamma", weight_decay_exempt=True)
         self.beta = Parameter(np.zeros(d), f"{prefix}.norm.beta", weight_decay_exempt=True)
         self.weight = Parameter(uniform_fan_in(rng, d, (d, 1)), f"{prefix}.weight")
@@ -196,7 +190,7 @@ class OutputHead:
         return [self.gamma, self.beta, self.weight, self.bias]
 
     def forward(self, h_cls: Tensor) -> Tensor:
-        normed = layer_norm(h_cls, self.gamma, self.beta, self.eps)
+        normed = layer_norm(h_cls, self.gamma, self.beta)
         return T.linear(T.relu(normed), self.weight, self.bias)
 
 
@@ -244,7 +238,7 @@ class DatasetParts:
     signature: DatasetSignature
     tokenizer: FeatureTokenizer
     head: OutputHead
-    context: Parameter | None = None            # mlp mode
+    context: Parameter | None = None            # mlp mode, one entry per row of layer 0
     coef_logits: list[Parameter] = field(default_factory=list)  # direct mode
 
     def parameters(self) -> list[Parameter]:
@@ -329,14 +323,15 @@ class ModelAssembly:
         rng = np.random.default_rng(_dataset_seed(self.seed, sig.name))
         prefix = f"datasets.{sig.name}"
         tokenizer = FeatureTokenizer(sig, cfg.d, rng, f"{prefix}.tokenizer")
-        head = OutputHead(cfg.d, rng, f"{prefix}.head", cfg.ln_eps)
+        head = OutputHead(cfg.d, rng, f"{prefix}.head")
         parts = DatasetParts(sig, tokenizer, head)
         if cfg.mode == "mlp":
-            parts.context = Parameter(rng.standard_normal(sig.n_tokens) * 0.01,
-                                      f"{prefix}.context")
+            parts.context = Parameter(
+                rng.standard_normal(self._coefficient_rows(sig, 0)) * 0.01,
+                f"{prefix}.context")
         elif cfg.mode == "direct":
             parts.coef_logits = [
-                Parameter(np.zeros((sig.n_tokens, cfg.n_basis)),
+                Parameter(np.zeros((self._coefficient_rows(sig, idx), cfg.n_basis)),
                           f"{prefix}.coeffs.{idx}")
                 for idx, _ in self.calinear_layers()]
         for p in parts.parameters():
@@ -352,10 +347,18 @@ class ModelAssembly:
 
     # -- forward -------------------------------------------------------------
 
+    def _coefficient_rows(self, sig: DatasetSignature, layer_idx: int) -> int:
+        """Tokens that layer ``layer_idx``'s feed-forward reads: all of them,
+        except in the last block, where only [CLS] goes on to the head."""
+        return 1 if layer_idx >= 2 * self.config.n_blocks - 2 else sig.n_tokens
+
     def _ffn_coefficients(self, parts: DatasetParts, layer_idx: int, layer) -> Tensor:
+        """Coefficient rows [rows, M] of one layer, one per token it reads."""
         if self.config.mode == "direct":
             return T.softmax(parts.coef_logits[layer_idx])
-        return layer.coefficients(parts.context)
+        rows = self._coefficient_rows(parts.signature, layer_idx)
+        context = parts.context
+        return layer.coefficients(context if context.size == rows else context[:rows])
 
     def forward(self, dataset: str, x_num: np.ndarray, x_cat: np.ndarray) -> Tensor:
         """Predict one logit (binary) or one value (regression) per row: [B, 1]."""
@@ -363,22 +366,19 @@ class ModelAssembly:
         cfg = self.config
         h = parts.tokenizer.forward(x_num, x_cat)
         for block in self.blocks:
-            a_in = h if block.norm1 is None else layer_norm(h, *block.norm1, cfg.ln_eps)
+            a_in = h if block.norm1 is None else layer_norm(h, *block.norm1)
             # only the [CLS] token reaches the head, so in the last block it
             # alone queries and goes on through the feed-forward sublayer
-            last = block is self.blocks[-1]
-            if last:
+            if block is self.blocks[-1]:
                 h = h[:, :1] + self_attention(a_in, block.attn, cfg.n_heads, 1)
             else:
                 h = h + self_attention(a_in, block.attn, cfg.n_heads)
-            f_in = layer_norm(h, *block.norm2, cfg.ln_eps)
+            f_in = layer_norm(h, *block.norm2)
             if cfg.mode == "plain":
                 f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
             else:
                 c1 = self._ffn_coefficients(parts, 2 * block.idx, block.lin1)
                 c2 = self._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
-                if last:
-                    c1, c2 = c1[:1], c2[:1]
                 f = calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
             h = h + f
         return parts.head.forward(h[:, 0, :])
@@ -388,15 +388,10 @@ class ModelAssembly:
     def partition_parameters(self, dataset: str) -> ParamPartition:
         parts = self._parts(dataset)
         ds = {p.name: p for p in parts.parameters()}
-        shared_norm = {}
-        shared_rest = {}
-        for name, p in self._registry.items():
-            if name in ds or name.startswith("datasets."):
-                continue
-            if name in self._shared_norm_names:
-                shared_norm[name] = p
-            else:
-                shared_rest[name] = p
+        shared_norm, shared_rest = {}, {}
+        for name, p in self.shared_parameters().items():
+            group = shared_norm if name in self._shared_norm_names else shared_rest
+            group[name] = p
         return ParamPartition(ds, shared_norm, shared_rest)
 
 

@@ -183,12 +183,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def _to_const(x) -> Tensor:
     if isinstance(x, Tensor):

@@ -301,9 +301,8 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     if total <= 0:
         raise UsageError("pretraining needs a positive step count")
 
-    params = assembly.parameters()
-    ds_params = {n: p for n, p in params.items() if n.startswith("datasets.")}
-    shared_params = {n: p for n, p in params.items() if not n.startswith("datasets.")}
+    shared_params = assembly.shared_parameters()
+    ds_params = {n: p for n, p in assembly.parameters().items() if n not in shared_params}
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
     log = _train(assembly, bundles, spec, TrainLog(phase="pretrain"),
                  _sampled_batches(sizes, spec.batch_cap, total, rng),

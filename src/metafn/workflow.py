@@ -144,10 +144,9 @@ def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
     variants["direct"] = dataclasses.replace(base_cfg, mode="direct")
 
     scores: dict[str, dict[str, E.Score]] = {}
-    by_config: dict[tuple, dict[str, E.Score]] = {}
+    by_config: dict[ModelConfig, dict[str, E.Score]] = {}
     for name, cfg in variants.items():
-        key = (cfg.compat_key(),)
-        if key not in by_config:
+        if cfg not in by_config:
             pre_bundles = prepare_pretrain_bundles(suite, data_seed)
             _, shared, _ = pretrain_suite(cfg, pre_bundles, pre_spec, model_seed)
             per_task = {}
@@ -156,8 +155,8 @@ def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
                 asm, _, _ = adapt_to_task(cfg, shared, bundle, cal_spec, ref_spec,
                                           model_seed)
                 per_task[bundle.schema.name] = E.score(asm, bundle, "test")
-            by_config[key] = per_task
-        scores[name] = by_config[key]
+            by_config[cfg] = per_task
+        scores[name] = by_config[cfg]
 
     task_names = [b.schema.name for b in suite.heldout]
     tables: dict[str, E.ScoreTable] = {}

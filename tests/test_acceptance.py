@@ -5,6 +5,7 @@ them).  The synthetic transfer experiment is shared by criteria 6 and 7 and
 dominates the runtime (a few minutes); everything else is fast.
 """
 
+import dataclasses
 import hashlib
 import time
 
@@ -149,7 +150,7 @@ def test_criterion_5_freeze_contract():
                                     model_seed=5)
     all_ok = True
     for raw in suite.heldout:
-        bundle = D.prepare(raw.copy_shallow(), split_seed=5, setting="T-100")
+        bundle = D.prepare(dataclasses.replace(raw), split_seed=5, setting="T-100")
         asm = ModelAssembly(cfg, seed=7)
         load_shared(asm, shared)
         before = {n: _digest(p) for n, p in asm.parameters().items()}
@@ -264,7 +265,8 @@ def test_criterion_10_ablation_hooks(tmp_path):
     shape_ok = (basis.methods == ["basis-1", "basis-2", "basis-4"]
                 and len(basis.tasks) == 4
                 and coef.methods == ["mlp", "direct"] and len(coef.tasks) == 4)
-    rep = E.build_report(basis, tmp_path / "main", ablations={"coefficient_source": coef})
+    rep = E.build_report({"main": basis, "ablation:coefficient_source": coef},
+                         tmp_path / "main")
     report_ok = "ablation:coefficient_source" in rep and "rank" in rep["main"]
     wtl = E.win_tie_loss(coef, "mlp", "direct")
     report(10, shape_ok and report_ok,

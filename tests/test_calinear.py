@@ -214,7 +214,7 @@ def test_direct_variant_zero_logits_uniform():
     parts = asm.datasets["t"]
     for idx, layer in asm.calinear_layers():
         c = asm._ffn_coefficients(parts, idx, layer).data
-        np.testing.assert_allclose(c, np.full((5, 4), 0.25), atol=0)
+        np.testing.assert_allclose(c, np.full((5 if idx < 2 else 1, 4), 0.25), atol=0)
 
 
 def test_direct_variant_same_coefficients_same_output():
@@ -234,18 +234,20 @@ def test_direct_variant_same_coefficients_same_output():
 
 
 def test_direct_variant_parameter_count_arithmetic():
-    # T=5 tokens, M=4: each direct layer owns 20 logits; MLP mode needs only
-    # the 5 context scalars shared by all layers (8 layers in a 4-block model).
+    # T=5 tokens, M=4: a direct layer owns one row of 4 logits per token its
+    # block's feed-forward reads, 20 in the first three blocks and 4 in the
+    # last, which reads only [CLS]; MLP mode needs only the 5 context scalars
+    # shared by all layers (8 layers in a 4-block model).
     direct = tiny_assembly(n_blocks=4)
     logits = direct.datasets["t"].coef_logits
-    assert len(logits) == 8 and all(p.size == 20 for p in logits)
+    assert [p.size for p in logits] == [20] * 6 + [4] * 2
     mlp = tiny_assembly("mlp", n_blocks=4)
 
     def coefficient_source_size(asm):
         return sum(p.size for n, p in asm.parameters().items()
                    if n.startswith("datasets.t.coeffs.") or n == "datasets.t.context")
 
-    assert (coefficient_source_size(direct), coefficient_source_size(mlp)) == (160, 5)
+    assert (coefficient_source_size(direct), coefficient_source_size(mlp)) == (6 * 20 + 2 * 4, 5)
 
 
 def test_shape_validation():

@@ -73,7 +73,7 @@ def test_corrupt_payload_names_entry(tmp_path):
     ckpt = save_checkpoint(asm, path, phase="pretrain")
     blob = bytearray(path.read_bytes())
     # flip one byte inside the *last* record's payload
-    last_name, _, _, last_payload = ckpt.records[-1]
+    last_name, _, last_payload = ckpt.records[-1]
     blob[-1 - len(last_payload) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=last_name):
@@ -170,8 +170,10 @@ def edited_header(blob: bytes, edit) -> bytes:
     (lambda b: edited_header(b, lambda h: h.pop("datasets")), r"lacks \['datasets'\]"),
     (lambda b: edited_header(b, lambda h: h.pop("model_config")), r"lacks \['model_config'\]"),
     (lambda b: edited_header(b, lambda h: h["model_config"].update(bogus=1)), "bogus"),
+    (lambda b: edited_header(b, lambda h: h["model_config"].update(ln_eps=1e-5, dropout=0.0)),
+     "ln_eps"),
 ], ids=["not-utf8", "not-json", "not-object", "no-phase", "no-datasets",
-        "no-model-config", "unknown-config-key"])
+        "no-model-config", "unknown-config-key", "deleted-config-keys"])
 def test_malformed_header_names_the_file(tmp_path, make, message):
     path, blob = saved_blob(tmp_path)
     path.write_bytes(make(blob))
@@ -182,7 +184,7 @@ def test_malformed_header_names_the_file(tmp_path, make, message):
 
 def with_bad_shape(ckpt, name):
     return dataclasses.replace(ckpt, records=[
-        (n, t, (1,), bytes(8)) if n == name else (n, t, s, b) for n, t, s, b in ckpt.records])
+        (n, (1,), bytes(8)) if n == name else (n, s, b) for n, s, b in ckpt.records])
 
 
 def test_load_shared_rejects_missing_entry_and_wrong_shape():
@@ -212,7 +214,7 @@ def test_assembly_from_checkpoint_rejects_missing_and_extra_records():
     first = ckpt.records[0][0]
     with pytest.raises(CheckpointError, match=f"missing.*'{first}'"):
         assembly_from_checkpoint(dataclasses.replace(ckpt, records=ckpt.records[1:]))
-    extra = dataclasses.replace(ckpt, records=[*ckpt.records, ("extra.w", 0, (1,), bytes(8))])
+    extra = dataclasses.replace(ckpt, records=[*ckpt.records, ("extra.w", (1,), bytes(8))])
     with pytest.raises(CheckpointError, match="unexpected.*'extra.w'"):
         assembly_from_checkpoint(extra)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from metafn.checkpoint import checkpoint_from_assembly
 from metafn.cli import main
 from metafn.config import DEFAULTS, RunConfig, parse_override
 from metafn.errors import ConfigError
+from metafn.model import ModelConfig
 
 REPO = Path(__file__).resolve().parents[1]
 TINY = REPO / "configs" / "tiny.json"
@@ -162,6 +164,19 @@ def test_parse_override_types():
     assert parse_override("data.suite_dir=/x/y") == ("data.suite_dir", "/x/y")
     with pytest.raises(ConfigError):
         parse_override("no-equals-sign")
+
+
+def test_every_model_config_field_has_a_config_key():
+    # a ModelConfig field that no configuration key sets holds one value in
+    # every run: each field must follow some key of the "model" section
+    default = RunConfig(DEFAULTS).model_config()
+    followed = set()
+    for key, value in DEFAULTS["model"].items():
+        changed = "direct" if key == "mode" else 2 * value
+        m = RunConfig.load(None, [f"model.{key}={json.dumps(changed)}"]).model_config()
+        followed |= {f.name for f in dataclasses.fields(m)
+                     if getattr(m, f.name) != getattr(default, f.name)}
+    assert followed == {f.name for f in dataclasses.fields(ModelConfig)}
 
 
 def test_defaults_match_reference_values():

@@ -180,10 +180,11 @@ def test_export_coefficients_counts_and_simplex(tmp_path):
                     [D.Column("a", "numeric"), D.Column("b", "numeric"),
                      D.Column("c", "numeric"), D.Column("y", "target")]).signature()
     asm.attach_dataset(sig2)
-    # d5 has 3 features -> 4 tokens; d3 has 3 features -> 4 tokens; 8 layers
+    # d5 has 3 features -> 4 tokens; d3 has 3 features -> 4 tokens; 8 layers,
+    # of which the last block's 2 read only the [CLS] token
     path = tmp_path / "coeffs.json"
     doc = E.export_coefficients(asm, ["d5", "d3"], path)
-    assert len(doc["records"]) == (4 + 4) * 8
+    assert len(doc["records"]) == (4 + 4) * 6 + (1 + 1) * 2 == 52
     for rec in doc["records"]:
         np.testing.assert_allclose(sum(rec["coefficients"]), 1.0, atol=1e-9)
         assert all(c > 0 for c in rec["coefficients"])
@@ -195,27 +196,28 @@ def test_export_coefficients_counts_and_simplex(tmp_path):
 
 
 def test_export_coefficients_token_counts_match_spec_shapes(tmp_path):
-    # datasets with 5 and 3 features -> (6 + 4) tokens x 2L layers
+    # datasets with 5 and 3 features -> (6 + 4) tokens x 2(L-1) layers, plus
+    # one [CLS] row each in the last block's 2 layers
     cfg = ModelConfig(d=16, n_blocks=4, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
     asm = ModelAssembly(cfg, seed=14)
     for name, n in (("n5", 5), ("n3", 3)):
         cols = [D.Column(f"x{j}", "numeric") for j in range(n)] + [D.Column("y", "target")]
         asm.attach_dataset(D.Schema(name, "regression", cols).signature())
     doc = E.export_coefficients(asm, ["n5", "n3"], tmp_path / "c.json")
-    assert len(doc["records"]) == (6 + 4) * 8 == 80
+    assert len(doc["records"]) == (6 + 4) * 6 + (1 + 1) * 2 == 64
 
 
 def test_build_report_deterministic_and_signed(tmp_path):
     table = E.ScoreTable(["transfer", "scratch"])
     table.add_row("t1", "mse", False, {"transfer": 0.25, "scratch": 0.5})
     table.add_row("t2", "accuracy", True, {"transfer": 0.9, "scratch": 0.8})
-    rep = E.build_report(table, tmp_path / "report")
+    rep = E.build_report({"main": table}, tmp_path / "report")
     raw = rep["main"]["raw_scores"]
     assert raw[0]["scores"]["transfer"] == -0.25  # negated mse
     assert raw[1]["scores"]["transfer"] == 0.9
     assert rep["main"]["win_tie_loss"]["transfer vs scratch"] == [2, 0, 0]
     first = (tmp_path / "report.json").read_bytes()
-    E.build_report(table, tmp_path / "report")
+    E.build_report({"main": table}, tmp_path / "report")
     assert (tmp_path / "report.json").read_bytes() == first
     text = (tmp_path / "report.txt").read_text()
     assert "mean rank" in text and "win 2" in text

@@ -197,7 +197,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(mode="bogus").validate()
     with pytest.raises(ConfigError):
-        ModelConfig(dropout=0.1).validate()
+        ModelConfig(n_blocks=0).validate()
 
 
 def test_m1_degeneracy_against_plain_twin():
@@ -232,7 +232,8 @@ def test_direct_mode_creates_per_layer_logits():
     parts = asm.datasets["t"]
     assert parts.context is None
     assert len(parts.coef_logits) == 2 * cfg.n_blocks
-    assert all(p.shape == (5, 3) for p in parts.coef_logits)
+    # the last block's feed-forward reads only the [CLS] token
+    assert [p.shape for p in parts.coef_logits] == [(5, 3)] * 2 + [(1, 3)] * 2
     x_num, x_cat = batch_for(sig, 3, seed=20)
     with no_grad():
         out = asm.forward("t", x_num, x_cat)
@@ -261,22 +262,26 @@ def test_full_model_gradient_check(task):
 
 
 # The forward pass as it was before the last block computed only the [CLS]
-# query: every block runs attention, norm and feed-forward on all tokens.
+# query: every block runs attention, norm and feed-forward on all tokens.  The
+# last block's one coefficient row, [CLS]'s, serves every token there; only
+# token 0 reaches the head, so the other rows' outputs take no gradient.
 
 def full_sequence_forward(asm, dataset, x_num, x_cat):
     parts = asm.datasets[dataset]
     cfg = asm.config
     h = parts.tokenizer.forward(x_num, x_cat)
     for block in asm.blocks:
-        a_in = h if block.norm1 is None else layer_norm(h, *block.norm1, cfg.ln_eps)
+        a_in = h if block.norm1 is None else layer_norm(h, *block.norm1)
         h = h + self_attention(a_in, block.attn, cfg.n_heads)
-        f_in = layer_norm(h, *block.norm2, cfg.ln_eps)
+        f_in = layer_norm(h, *block.norm2)
         if cfg.mode == "plain":
             f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
         else:
             c1 = asm._ffn_coefficients(parts, 2 * block.idx, block.lin1)
             c2 = asm._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
-            f = calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
+            rows = (h.shape[1], cfg.n_basis)
+            f = calinear_ffn_forward(block.lin1, block.lin2, f_in,
+                                     T.broadcast_to(c1, rows), T.broadcast_to(c2, rows))
         h = h + f
     return parts.head.forward(h[:, 0, :])
 
@@ -334,6 +339,28 @@ def test_cls_query_forward_matches_the_full_sequence_forward(mode, n_blocks, tas
     for name, g in want.items():
         if g is not None:
             assert_close(got[name], g, name)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+@pytest.mark.parametrize("mode", ["mlp", "direct"])
+def test_every_stored_coefficient_source_entry_takes_a_gradient(mode, n_blocks):
+    # the context and the logits hold one row per token its layer reads, so
+    # with random values one backward moves every entry: none is dead weight
+    asm, sig = spread_assembly(mode, n_blocks, "regression")
+    parts = asm.datasets["eq"]
+    tokens, basis = sig.n_tokens, asm.config.n_basis
+    if mode == "mlp":
+        sources = [parts.context]
+        assert parts.context.shape == (tokens if n_blocks > 1 else 1,)
+    else:
+        sources = parts.coef_logits
+        assert [p.shape for p in sources] == \
+            [(tokens, basis)] * (2 * n_blocks - 2) + [(1, basis)] * 2
+    x_num, x_cat = batch_for(sig, 6, seed=36)
+    y = np.random.default_rng(37).standard_normal(6)
+    compute_loss(asm.forward("eq", x_num, x_cat), y, "regression").backward()
+    for p in sources:
+        assert p.grad is not None and np.all(p.grad != 0), p.name
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3])

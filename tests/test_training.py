@@ -179,7 +179,7 @@ def test_refine_never_worse_than_calibration(suite):
 
 def test_refine_unfreezes_shared_body(suite):
     asm, bundle, _, shared = adapt_once(suite, cal_epochs=4)
-    shared_digests = {r[0]: hashlib.sha256(r[3]).hexdigest()
+    shared_digests = {r[0]: hashlib.sha256(r[2]).hexdigest()
                       for r in shared.records if not r[0].startswith("datasets.")}
     log = TR.refine(asm, bundle, TR.PhaseSpec("refine", epochs=4, seed=10))
     if log.best_epoch > 0:
