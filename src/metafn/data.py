@@ -243,8 +243,6 @@ def matrices(bundle: DatasetBundle, split_name: str):
     x_num = np.column_stack([t.apply(bundle.x_num[idx, j])
                              for j, t in enumerate(bundle.transforms)]) \
         if bundle.transforms else np.empty((idx.size, 0))
-    if x_num.size == 0:
-        x_num = np.empty((idx.size, 0))
     y = bundle.y[idx].astype(np.float64)
     if bundle.schema.task == "regression" and bundle.target_std is not None:
         y = (y - bundle.target_mean) / bundle.target_std
@@ -378,7 +376,6 @@ class SynthSuiteSpec:
     n_heldout: int = 10
     heldout_rows: int = 2000
     hidden: int = 16
-    structure: str = "ridge"     # "ridge": waveform along one direction; "dense": full-rank
     curvature: float = 3.0       # steepness of the tanh units
     mixture_alpha: float = 0.3   # Dirichlet concentration; small = sparse mixtures
 
@@ -393,29 +390,20 @@ class SynthSuiteSpec:
 class BasisFunction:
     """A frozen two-layer tanh network R^k -> R, standardized on a probe sample.
 
-    In "ridge" form all hidden units share one input direction, so the
+    All hidden units share one input direction (a ridge function), so the
     function is a multi-wiggle waveform along that direction: easy to
     learn when the direction is known (or shared across many datasets),
-    nearly impossible to recover from a handful of rows.  "dense" draws
-    an unconstrained random network instead.
+    nearly impossible to recover from a handful of rows.
     """
 
     def __init__(self, rng: np.random.Generator, n_features: int, hidden: int,
-                 probe: np.ndarray, curvature: float = 3.0,
-                 structure: str = "ridge"):
-        k = n_features
-        if structure == "ridge":
-            direction = rng.standard_normal(k)
-            direction /= np.linalg.norm(direction)
-            gains = rng.uniform(curvature, curvature + 4.0, hidden) \
-                * rng.choice([-1.0, 1.0], hidden)
-            self.w1 = np.outer(direction, gains)
-            self.b1 = rng.uniform(-2.5, 2.5, hidden)
-        elif structure == "dense":
-            self.w1 = rng.standard_normal((k, hidden)) * (curvature / np.sqrt(k))
-            self.b1 = rng.standard_normal(hidden) * 0.5
-        else:
-            raise UsageError(f"unknown basis structure {structure!r}")
+                 probe: np.ndarray, curvature: float = 3.0):
+        direction = rng.standard_normal(n_features)
+        direction /= np.linalg.norm(direction)
+        gains = rng.uniform(curvature, curvature + 4.0, hidden) \
+            * rng.choice([-1.0, 1.0], hidden)
+        self.w1 = np.outer(direction, gains)
+        self.b1 = rng.uniform(-2.5, 2.5, hidden)
         self.w2 = rng.standard_normal(hidden) * (1.0 / np.sqrt(hidden))
         raw = self._raw(probe)
         self.shift = float(raw.mean())
@@ -476,7 +464,7 @@ def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
     probe = np.random.default_rng(probe_key).standard_normal((4096, spec.n_features))
     basis_rng = np.random.default_rng(basis_key)
     return [BasisFunction(basis_rng, spec.n_features, spec.hidden, probe,
-                          spec.curvature, spec.structure)
+                          spec.curvature)
             for _ in range(spec.n_basis_functions)]
 
 
@@ -515,21 +503,28 @@ def export_suite(suite: SynthSuite, out_dir) -> None:
 def load_suite(suite_dir) -> SynthSuite:
     """Re-read an exported suite; basis functions are rebuilt from the spec seed."""
     root = Path(suite_dir)
+    path = root / "suite.json"
     try:
-        with open(root / "suite.json", "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{suite_dir}: not a suite directory (missing suite.json)") from None
-    spec = SynthSuiteSpec.from_dict(meta["spec"])
+    except ValueError as exc:   # not UTF-8 or not JSON
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        spec = SynthSuiteSpec.from_dict(meta["spec"])
+        mixtures = {name: np.array([float(v) for v in mix])
+                    for name, mix in dict(meta["mixtures"]).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed suite description "
+                        f"({type(exc).__name__}: {exc})") from None
 
     def read(sub):
         out = []
         for path in sorted((root / sub).glob("*.csv")):
             manifest = path.with_name(path.stem + ".manifest.json")
             b = load_csv(path, manifest)
-            mix = meta["mixtures"].get(b.schema.name)
-            if mix is not None:
-                b.true_mixture = np.array([float(v) for v in mix])
+            b.true_mixture = mixtures.get(b.schema.name)
             out.append(b)
         return out
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +104,14 @@ class PlainLinear:
 
 
 class FeatureTokenizer:
-    """Turns one table row into one embedding per feature plus a class token.
+    """Turns one table row into tokens: [CLS], every numeric feature, then
+    every categorical feature, in FT-Transformer's order.  The blocks have no
+    positional encoding, so the columns' order in the manifest plays no part.
 
-    Numeric feature j:      token = value * weight_j + bias_j
-    Categorical feature j:  token = embedding_table_j[index] + bias_j
-    The last table row of every categorical feature is the unknown bucket.
+    Numeric feature j:      token = value * num.weight[j] + num.bias[j]
+    Categorical feature j:  token = cat.table[offset_j + index] + cat.bias[j]
+    Feature j's card_j + 1 rows of ``cat.table`` start at its offset and end
+    with its unknown bucket.
     """
 
     def __init__(self, sig: DatasetSignature, d: int, rng: np.random.Generator,
@@ -123,22 +125,19 @@ class FeatureTokenizer:
                              weight_decay_exempt=True)
 
         self.cls = tok_param((d,), f"{prefix}.cls")
-        n_num = sig.n_numeric
+        n_num, n_cat = sig.n_numeric, sig.n_categorical
         self.num_weight = tok_param((n_num, d), f"{prefix}.num.weight") if n_num else None
         self.num_bias = tok_param((n_num, d), f"{prefix}.num.bias") if n_num else None
-        self.cat_tables: list[Parameter] = []
-        self.cat_biases: list[Parameter] = []
-        for j, card in enumerate(sig.cardinalities):
-            self.cat_tables.append(tok_param((card + 1, d), f"{prefix}.cat.{j}.table"))
-            self.cat_biases.append(tok_param((d,), f"{prefix}.cat.{j}.bias"))
+        self.cards = np.asarray(sig.cardinalities, dtype=np.int64)
+        sizes = self.cards + 1   # each vocabulary plus its unknown bucket
+        self.cat_offsets = np.cumsum(sizes) - sizes
+        self.cat_table = tok_param((int(sizes.sum()), d), f"{prefix}.cat.table") \
+            if n_cat else None
+        self.cat_bias = tok_param((n_cat, d), f"{prefix}.cat.bias") if n_cat else None
 
     def parameters(self) -> list[Parameter]:
-        ps = [self.cls]
-        if self.num_weight is not None:
-            ps += [self.num_weight, self.num_bias]
-        for t, b in zip(self.cat_tables, self.cat_biases):
-            ps += [t, b]
-        return ps
+        ps = [self.cls, self.num_weight, self.num_bias, self.cat_table, self.cat_bias]
+        return [p for p in ps if p is not None]
 
     def forward(self, x_num: np.ndarray, x_cat: np.ndarray) -> Tensor:
         sig = self.sig
@@ -152,27 +151,18 @@ class FeatureTokenizer:
                 f"dataset {sig.name!r} expects {sig.n_numeric} numeric and "
                 f"{sig.n_categorical} categorical columns, got "
                 f"{x_num.shape[1]} and {x_cat.shape[1]}")
-        for j, card in enumerate(sig.cardinalities):
-            col = x_cat[:, j]
-            if col.min(initial=0) < 0 or col.max(initial=0) > card:
-                raise DataError(f"categorical index out of range in column {j} "
-                                f"of dataset {sig.name!r}")
+        bad = ((x_cat < 0) | (x_cat > self.cards)).any(axis=0)
+        if bad.any():
+            raise DataError(f"categorical index out of range in column "
+                            f"{int(np.argmax(bad))} of dataset {sig.name!r}")
 
         tokens = [T.broadcast_to(self.cls.reshape(1, 1, self.d), (B, 1, self.d))]
         if sig.n_numeric:
-            numeric = Tensor(x_num.reshape(B, sig.n_numeric, 1)) * self.num_weight \
-                + self.num_bias
-        i_num = i_cat = 0
-        for kind, run in itertools.groupby(sig.feature_kinds):
-            n = len(tuple(run))
-            if kind == "numeric":
-                tokens.append(numeric[:, i_num:i_num + n, :])
-                i_num += n
-                continue
-            for j in range(i_cat, i_cat + n):
-                rows = T.gather_rows(self.cat_tables[j], x_cat[:, j])
-                tokens.append((rows + self.cat_biases[j]).reshape(B, 1, self.d))
-            i_cat += n
+            tokens.append(Tensor(x_num.reshape(B, sig.n_numeric, 1)) * self.num_weight
+                          + self.num_bias)
+        if sig.n_categorical:
+            tokens.append(T.gather_rows(self.cat_table, x_cat + self.cat_offsets)
+                          + self.cat_bias)
         return T.concat(tokens, axis=1)
 
 

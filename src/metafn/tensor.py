@@ -22,6 +22,7 @@ from scipy.special import expit
 from .errors import ConfigError, DimensionError
 
 _GRAD_ENABLED = True
+LAYER_NORM_EPS = 1e-5
 
 
 @contextlib.contextmanager
@@ -315,11 +316,10 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` (embedding fetch); repeated rows accumulate."""
+    """Row lookup ``table[indices]`` (embedding fetch) for an index array of
+    any shape; repeated rows accumulate."""
     table = _to_const(table)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows expects a 1-D index array")
     out_data = table.data[idx]
 
     def backward(g):
@@ -363,17 +363,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._from_op(out_data, parents, backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Fused layer normalization over the last axis with affine output."""
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     x, gamma, beta = _to_const(x), _to_const(gamma), _to_const(beta)
     n = x.shape[-1]
     if n == 0:
         raise DimensionError("layer_norm over an empty feature axis")
     x2 = np.ascontiguousarray(x.data).reshape(-1, n)
     xhat = x2 - (_rowsum(x2) / n)[:, None]
-    inv = (1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps))[:, None]
+    inv = (1.0 / np.sqrt(_rowdot(xhat, xhat) / n + LAYER_NORM_EPS))[:, None]
     xhat *= inv
     out2 = xhat * gamma.data
     out2 += beta.data

@@ -219,6 +219,20 @@ def test_assembly_from_checkpoint_rejects_missing_and_extra_records():
         assembly_from_checkpoint(extra)
 
 
+def test_assembly_from_checkpoint_rejects_per_feature_categorical_records():
+    # before the stacked table, feature j had its own cat.<j>.table and
+    # cat.<j>.bias records; such a checkpoint no longer matches the model
+    ckpt = checkpoint_from_assembly(make_assembly(), "pretrain")
+    prefix = "datasets.t1.tokenizer.cat"
+    arrays = ckpt.arrays()
+    old = {f"{prefix}.0.table": arrays[f"{prefix}.table"],
+           f"{prefix}.0.bias": arrays[f"{prefix}.bias"][0]}
+    records = [r for r in ckpt.records if not r[0].startswith(prefix)]
+    records += [(name, a.shape, a.astype("<f8").tobytes()) for name, a in old.items()]
+    with pytest.raises(CheckpointError, match=f"unexpected.*'{prefix}.0.table'"):
+        assembly_from_checkpoint(dataclasses.replace(ckpt, records=records))
+
+
 def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(make_assembly(seed=1), path, phase="pretrain")

@@ -126,6 +126,15 @@ def test_invalid_batch_cap_or_task_entry_exits_2(tmp_path, override, capsys):
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+def test_malformed_suite_json_exits_1_with_an_error_line(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "suite.json").write_text("{not json")
+    assert run("pretrain", tmp_path, extra=["--set", f"data.suite_dir={suite}"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "suite.json" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_2():
     assert main(["pretrain", "--config", "/nonexistent.json"]) == 2
 

@@ -296,3 +296,31 @@ def test_prepare_pipeline_and_matrices():
     assert x.shape == (100, 2) and xc.shape == (100, 0) and y.shape == (100,)
     assert abs(float(y.mean())) < 1e-9  # standardized on this split
     np.testing.assert_allclose(float(y.std()), 1.0, atol=1e-9)
+
+
+def test_matrices_of_an_empty_split_keep_the_numeric_width():
+    b = D.prepare(toy_bundle(5), split_seed=0)
+    assert b.splits["valid"].size == 0
+    x, xc, y = D.matrices(b, "valid")
+    assert x.shape == (0, 2) and xc.shape == (0, 0) and y.shape == (0,)
+
+
+def exported_suite_json(tmp_path):
+    spec = D.SynthSuiteSpec(seed=16, n_pretrain=2, rows_per_dataset=25,
+                            n_heldout=1, heldout_rows=20)
+    D.export_suite(D.generate_synth_suite(spec), tmp_path)
+    return tmp_path / "suite.json"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: "{not json",
+    lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "structure": "ridge"}}),
+    lambda meta: json.dumps({"mixtures": meta["mixtures"]}),
+    lambda meta: json.dumps({"spec": meta["spec"]}),
+    lambda meta: json.dumps({**meta, "mixtures": {"synth_pre_00": ["x"]}}),
+], ids=["not-json", "unknown-spec-key", "missing-spec", "missing-mixtures", "bad-mixture"])
+def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
+    path = exported_suite_json(tmp_path)
+    path.write_text(edit(json.loads(path.read_text())))
+    with pytest.raises(DataError, match="suite.json"):
+        D.load_suite(tmp_path)

@@ -61,17 +61,31 @@ def test_tokenize_shape_with_full_width():
 
 def test_tokenize_categorical_lookup_and_unknown_row():
     asm = ModelAssembly(SMALL, seed=4)
-    sig = mixed_sig(cards=(3,))
+    sig = mixed_sig(cards=(3, 2))
     asm.attach_dataset(sig)
     tok = asm.datasets["toy"].tokenizer
-    # index 3 is the unknown bucket for a cardinality-3 vocabulary
-    out = tok.forward(np.zeros((1, 2)), np.array([[3]])).data
-    np.testing.assert_allclose(out[0, 3], tok.cat_tables[0].data[3] + tok.cat_biases[0].data,
-                               atol=1e-15)
-    assert tok.cat_tables[0].shape == (4, 16)
+    assert tok.cat_table.shape == (4 + 3, 16) and tok.cat_bias.shape == (2, 16)
+    np.testing.assert_array_equal(tok.cat_offsets, [0, 4])
+    # index card_j is feature j's unknown bucket, the last of its rows
+    for row, want in (([3, 2], [3, 6]), ([0, 1], [0, 5])):
+        out = tok.forward(np.zeros((1, 2)), np.array([row])).data
+        for j in range(2):
+            np.testing.assert_array_equal(
+                out[0, 3 + j], tok.cat_table.data[want[j]] + tok.cat_bias.data[j])
 
 
-def test_tokenize_interleaved_kinds_keep_feature_order():
+def test_tokenize_categorical_range_error_names_the_column():
+    asm = ModelAssembly(SMALL, seed=4)
+    asm.attach_dataset(mixed_sig(cards=(3, 2)))
+    tok = asm.datasets["toy"].tokenizer
+    for bad in ([[0, 3]], [[0, -1]]):
+        with pytest.raises(DataError, match="column 1 of dataset 'toy'"):
+            tok.forward(np.zeros((1, 2)), np.array(bad))
+
+
+def test_tokenize_numeric_then_categorical_tokens():
+    # manifest order interleaves the kinds; tokens come as [CLS, numeric...,
+    # categorical...]
     sig = DatasetSignature("mix", "binary",
                            ("categorical", "numeric", "numeric", "categorical", "numeric"),
                            (3, 2))
@@ -83,17 +97,34 @@ def test_tokenize_interleaved_kinds_keep_feature_order():
     assert out.shape == (4, 6, 16)
     w, b = tok.num_weight.data, tok.num_bias.data
     np.testing.assert_array_equal(out.data[:, 0], np.broadcast_to(tok.cls.data, (4, 16)))
-    for pos, j in ((2, 0), (3, 1), (5, 2)):
-        np.testing.assert_array_equal(out.data[:, pos], x_num[:, j:j + 1] * w[j] + b[j])
-    for pos, j in ((1, 0), (4, 1)):
-        rows = tok.cat_tables[j].data[x_cat[:, j]]
-        np.testing.assert_array_equal(out.data[:, pos], rows + tok.cat_biases[j].data)
-    # the gradient of each token reaches exactly its own feature's parameters
-    seed = np.zeros(out.shape)
-    seed[:, 3] = 1.0
-    out.backward(seed)
-    assert np.all(tok.num_weight.grad[[0, 2]] == 0) and np.all(tok.num_bias.grad[1] == 4)
-    assert all(t.grad is None or not t.grad.any() for t in tok.cat_tables + tok.cat_biases)
+    for j in range(3):
+        np.testing.assert_array_equal(out.data[:, 1 + j], x_num[:, j:j + 1] * w[j] + b[j])
+    for j in range(2):
+        rows = tok.cat_table.data[tok.cat_offsets[j] + x_cat[:, j]]
+        np.testing.assert_array_equal(out.data[:, 4 + j], rows + tok.cat_bias.data[j])
+    # the gradient of each token reaches exactly its own feature's parameter rows
+    own = {1: {"num": {0}}, 2: {"num": {1}}, 3: {"num": {2}},
+           4: {"cat_bias": {0}, "cat_table": {0, 1, 2, 3}},
+           5: {"cat_bias": {1}, "cat_table": {4, 5, 6}}}
+    for pos, rows in own.items():
+        for p in tok.parameters():
+            p.zero_grad()
+        seed = np.zeros(out.shape)
+        seed[:, pos] = 1.0
+        tok.forward(x_num, x_cat).backward(seed)
+        got = {}
+        for key, params in (("num", (tok.num_weight, tok.num_bias)),
+                            ("cat_table", (tok.cat_table,)), ("cat_bias", (tok.cat_bias,))):
+            hit = set()
+            for p in params:
+                if p.grad is not None:
+                    hit |= set(np.flatnonzero(p.grad.any(axis=1)).tolist())
+            if hit:
+                got[key] = hit
+        # a batch of 4 need not look up every row of its feature's vocabulary
+        assert set(got) == set(rows), pos
+        assert all(got[key] <= rows[key] for key in got), pos
+        assert tok.cls.grad is None or not tok.cls.grad.any()
 
 
 def test_tokenize_wrong_column_count():
@@ -382,19 +413,37 @@ def test_only_the_last_block_attends_from_the_cls_token_alone(monkeypatch, n_blo
     assert shapes == [(5, sig.n_tokens, 8)] * (n_blocks - 1) + [(5, 1, 8)]
 
 
-def test_acceptance_training_step_builds_54_graph_nodes():
-    # pins the fused primitives: each attention, layer norm and CaLinear mix
-    # is one node, so a change that splits one into several nodes fails here
-    cfg = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
+ACCEPTANCE = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
+
+
+def step_graph_nodes(cfg, sig):
+    """Graph nodes of one forward and loss on a fresh assembly."""
     asm = ModelAssembly(cfg, seed=0)
-    sig = numeric_sig(n=8)
     asm.attach_dataset(sig)
     x_num, x_cat = batch_for(sig, 128)
-    loss = compute_loss(asm.forward("nums", x_num, x_cat), x_num[:, 0], "regression")
+    loss = compute_loss(asm.forward(sig.name, x_num, x_cat), x_num[:, 0], "regression")
     nodes, stack = set(), [loss]
     while stack:
         t = stack.pop()
         if t._backward is not None and id(t) not in nodes:
             nodes.add(id(t))
             stack.extend(t._parents)
-    assert len(nodes) == 54
+    return len(nodes)
+
+
+def test_acceptance_training_step_builds_53_graph_nodes():
+    # pins the fused primitives: each attention, layer norm and CaLinear mix
+    # is one node, so a change that splits one into several nodes fails here
+    assert step_graph_nodes(ACCEPTANCE, numeric_sig(n=8)) == 53
+
+
+def test_graph_nodes_do_not_grow_with_categorical_features():
+    # every categorical feature comes from one stacked table: one gather and
+    # one bias add, whatever the number of features
+    counts = []
+    for n_cat in (1, 8):
+        kinds = ("numeric", "categorical") * n_cat + ("numeric",) * (8 - n_cat)
+        cards = tuple(range(2, 2 + n_cat))
+        counts.append(step_graph_nodes(ACCEPTANCE, DatasetSignature("t", "regression",
+                                                                    kinds, cards)))
+    assert counts == [55, 55]
