@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .data import SETTINGS, SynthSuiteSpec
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .model import ModelConfig
 from .training import PhaseSpec, default_calibrate_epochs
 
@@ -44,29 +44,20 @@ DEFAULTS: dict = {
 }
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+def _deep_merge(base: dict, override, path: str = "") -> dict:
+    """``base`` with ``override``'s values; a section stays an object, merged by key."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path or 'the configuration'} must be a JSON object")
     out = copy.deepcopy(base)
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown configuration key {here!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
             out[key] = _deep_merge(base[key], value, here)
         else:
             out[key] = copy.deepcopy(value)
     return out
-
-
-def _set_dotted(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"unknown configuration key {dotted!r}")
-        node = node[p]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown configuration key {dotted!r}")
-    node[parts[-1]] = value
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -101,21 +92,41 @@ class RunConfig:
             cfg = _deep_merge(cfg, user)
         for text in overrides:
             key, value = parse_override(text)
-            _set_dotted(cfg, key, value)
+            for part in reversed(key.split(".")):
+                value = {part: value}
+            cfg = _deep_merge(cfg, value)
         return cls(cfg)
 
     def validate(self) -> None:
-        self.model_config().validate()
+        check_int("seed", self.raw["seed"], 0)
+        for key, value in self.raw["model"].items():
+            if key != "mode":
+                check_int(f"model.{key}", value, 1)
+        try:
+            self.model_config().validate()
+        except ConfigError as exc:
+            raise ConfigError(f"model: {exc}") from None
+        try:
+            self.synth_spec().validate()
+        except ConfigError as exc:
+            raise ConfigError(f"data.synth.{exc}") from None
+        if not isinstance(self.raw["output_dir"], str):
+            raise ConfigError("output_dir must be a string")
+        if not isinstance(self.raw["data"]["suite_dir"], (str, type(None))):
+            raise ConfigError("data.suite_dir must be a string or null")
+        if not isinstance(self.raw["settings"], list):
+            raise ConfigError("settings must be a list of setting names")
         for name in self.raw["settings"]:
-            if name not in SETTINGS:
+            if not isinstance(name, str) or name not in SETTINGS:
                 raise ConfigError(f"settings: unknown setting name {name!r}")
         for phase, spec in self.raw["phases"].items():
-            epochs = spec["epochs"]
-            if epochs is not None and epochs < 0:
-                raise ConfigError(f"phases.{phase}.epochs must be >= 0")
-            cap = spec["batch_cap"]
-            if not isinstance(cap, int) or cap < 1:
-                raise ConfigError(f"phases.{phase}.batch_cap must be an integer >= 1")
+            here = f"phases.{phase}"
+            if spec["epochs"] is not None or phase != "calibrate":
+                check_int(f"{here}.epochs", spec["epochs"], 0)
+            check_int(f"{here}.batch_cap", spec["batch_cap"], 1)
+            check_real(f"{here}.lr", spec["lr"], 0.0)
+            check_real(f"{here}.weight_decay", spec["weight_decay"], 0.0)
+            check_real(f"{here}.warmup_frac", spec["warmup_frac"], 0.0, 1.0)
         tasks = self.raw["data"]["tasks"]
         if not isinstance(tasks, list) or not all(
                 isinstance(t, dict) and isinstance(t.get("csv"), str)
@@ -136,9 +147,7 @@ class RunConfig:
     def phase_spec(self, phase: str, setting: str | None = None) -> PhaseSpec:
         p = self.raw["phases"][phase]
         epochs = p["epochs"]
-        if epochs is None:
-            if phase != "calibrate":
-                raise ConfigError(f"phases.{phase}.epochs must be set")
+        if epochs is None:     # calibration only; validate rejects it elsewhere
             epochs = default_calibrate_epochs(setting or "T-full")
         return PhaseSpec(phase=phase, epochs=epochs, batch_cap=p["batch_cap"],
                          base_lr=p["lr"], weight_decay=p["weight_decay"],

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DataError, UsageError
+from .errors import ConfigError, DataError, UsageError, check_int, check_real
 from .model import DatasetSignature
 
 PROB_CLIP = 1e-7
@@ -386,6 +386,17 @@ class SynthSuiteSpec:
     def from_dict(cls, d: dict) -> "SynthSuiteSpec":
         return cls(**d)
 
+    def validate(self) -> None:
+        """Raise ``ConfigError`` naming the first field of the wrong type or range."""
+        check_int("seed", self.seed, 0)
+        for name in ("n_basis_functions", "n_pretrain", "rows_per_dataset", "n_features",
+                     "n_heldout", "heldout_rows", "hidden"):
+            check_int(name, getattr(self, name), 1)
+        for name in ("noise_std", "curvature", "mixture_alpha"):
+            check_real(name, getattr(self, name), 0.0)
+        if self.mixture_alpha == 0:
+            raise ConfigError("mixture_alpha must be > 0")
+
 
 class BasisFunction:
     """A frozen two-layer tanh network R^k -> R, standardized on a probe sample.
@@ -513,9 +524,10 @@ def load_suite(suite_dir) -> SynthSuite:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     try:
         spec = SynthSuiteSpec.from_dict(meta["spec"])
+        spec.validate()
         mixtures = {name: np.array([float(v) for v in mix])
                     for name, mix in dict(meta["mixtures"]).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed suite description "
                         f"({type(exc).__name__}: {exc})") from None
 

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the value checks that raise it."""
+
+import math
 
 
 class MetafnError(Exception):
@@ -23,3 +25,17 @@ class UsageError(MetafnError):
 
 class CheckpointError(MetafnError):
     """A checkpoint file is incompatible, truncated, or corrupt."""
+
+
+def check_int(key: str, value, minimum: int) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is an int >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, not {value!r}")
+
+
+def check_real(key: str, value, low: float, high: float = math.inf) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is a finite number in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or not low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ConfigError(f"{key} must be a finite number {bounds}, not {value!r}")

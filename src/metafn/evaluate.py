@@ -24,7 +24,12 @@ from .model import ModelAssembly, ModelConfig
 from .tensor import no_grad
 
 TIE_DECIMALS = 3
-PREDICT_BATCH = 4096          # rows per no-grad forward pass, at most
+# Rows per no-grad forward pass, at most.  At 256 rows each block's
+# temporaries stay at about 2 MB or less (the packed Q/K/V projection of a
+# 9-token table at d=32), so the allocator reuses them from the heap on the
+# next block instead of unmapping them and faulting them in again; blocks of
+# 384 to 4096 rows fault far more.
+PREDICT_BATCH = 256
 SCORE_BYTES = 64 * 2 ** 20    # bytes of one [rows, heads, T, T] score array, at most
 
 

@@ -120,6 +120,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     "phases.calibrate.batch_cap=-1",
     'data.tasks=[{"csv": "t.csv"}]',
     'data.tasks=[{"csv": "t.csv", "manifest": 3}]',
+    "data.synth.seed=seven",
+    "seed=1.5",
+    "phases.pretrain.epochs=five",
+    "model.d=wide",
+    "phases.pretrain.lr=fast",
+    "data.synth.n_features=0",
+    "model.d_ffn=0",
+    "model=5",
+    "output_dir=5",
+    'settings=[["T-100"]]',
 ])
 def test_invalid_batch_cap_or_task_entry_exits_2(tmp_path, override, capsys):
     assert run("pretrain", tmp_path, extra=["--set", override]) == 2

@@ -318,7 +318,9 @@ def exported_suite_json(tmp_path):
     lambda meta: json.dumps({"mixtures": meta["mixtures"]}),
     lambda meta: json.dumps({"spec": meta["spec"]}),
     lambda meta: json.dumps({**meta, "mixtures": {"synth_pre_00": ["x"]}}),
-], ids=["not-json", "unknown-spec-key", "missing-spec", "missing-mixtures", "bad-mixture"])
+    lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "seed": "seven"}}),
+], ids=["not-json", "unknown-spec-key", "missing-spec", "missing-mixtures", "bad-mixture",
+        "mistyped-spec-seed"])
 def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
     path = exported_suite_json(tmp_path)
     path.write_text(edit(json.loads(path.read_text())))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from metafn.errors import DataError, UsageError
 from metafn.model import ModelAssembly, ModelConfig
 
 CFG = ModelConfig(d=16, n_blocks=1, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
+ACCEPTANCE = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
 
 
 def brute_force_ranks(values, higher_better):
@@ -24,12 +26,13 @@ def brute_force_ranks(values, higher_better):
     return ranks
 
 
-def prepared_bundle(task="regression", n=200, seed=0, name="toy"):
+def prepared_bundle(task="regression", n=200, seed=0, name="toy", n_features=3):
     rng = np.random.default_rng(seed)
-    cols = [D.Column(f"x{j}", "numeric") for j in range(3)] + [D.Column("y", "target")]
+    cols = [D.Column(f"x{j}", "numeric") for j in range(n_features)] \
+        + [D.Column("y", "target")]
     schema = D.Schema(name, task, cols)
-    x = rng.standard_normal((n, 3))
-    y = x @ np.array([1.0, -0.5, 0.2]) + 0.1 * rng.standard_normal(n) \
+    x = rng.standard_normal((n, n_features))
+    y = x[:, :3] @ np.array([1.0, -0.5, 0.2]) + 0.1 * rng.standard_normal(n) \
         if task == "regression" else (rng.uniform(size=n) > 0.5).astype(float)
     b = D.DatasetBundle(schema, x, np.empty((n, 0), dtype=np.int64), y)
     return D.prepare(b, split_seed=seed)
@@ -247,17 +250,45 @@ def test_predictions_in_several_blocks_equal_one_block_bitwise(monkeypatch):
     monkeypatch.setattr(E, "SCORE_BYTES", 24 * row_bytes - 1)
     assert E.predict_rows(asm.config, 4) == 16
     np.testing.assert_array_equal(E.predictions(asm, bundle, "test"), whole)
+    monkeypatch.undo()
+
+    # the acceptance model on a 9-token table: blocks of 256, 256 and 88 rows
+    # against one block of 4096
+    bundle = prepared_bundle(n=3000, seed=7, n_features=8)
+    asm = ModelAssembly(ACCEPTANCE, seed=8)
+    asm.attach_dataset(bundle.schema.signature())
+    blocks = E.predictions(asm, bundle, "test")
+    assert blocks.shape == (600,) and E.predict_rows(ACCEPTANCE, 9) == 256
+    monkeypatch.setattr(E, "PREDICT_BATCH", 4096)
+    np.testing.assert_array_equal(E.predictions(asm, bundle, "test"), blocks)
+
+
+def test_predictions_keep_a_small_working_set():
+    # 4096 rows of a 9-token table in one block allocate about 58 MiB of
+    # temporaries; blocks of 256 rows about 4 MiB
+    n = 4096
+    bundle = prepared_bundle(n=20, n_features=8)
+    asm = ModelAssembly(ACCEPTANCE, seed=9)
+    asm.attach_dataset(bundle.schema.signature())
+    rng = np.random.default_rng(10)
+    mats = (rng.standard_normal((n, 8)), np.empty((n, 0), dtype=np.int64), np.zeros(n))
+    tracemalloc.start()
+    try:
+        E.predictions(asm, bundle, "test", matrices=mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_predict_rows_bounds_one_attention_score_array():
-    acceptance = ModelConfig(d=32, n_blocks=2, n_heads=4, n_basis=4, d_ffn=48, cal_hidden=16)
-    # a 9-token table still scores 4096 rows at a time
-    assert E.predict_rows(acceptance, 9) == E.PREDICT_BATCH == 4096
-    # at 101 tokens one 4096-row score array would take 1.25 GiB (4 heads)
-    # or 2.5 GiB (8 heads); the budget allows 200 and 96 rows
-    for cfg, want in ((acceptance, 200), (ModelConfig(), 96)):
+    # a 9-token table scores 256 rows at a time
+    assert E.predict_rows(ACCEPTANCE, 9) == E.PREDICT_BATCH == 256
+    # at 101 tokens one 256-row score array would take 80 MiB (4 heads) or
+    # 159 MiB (8 heads); the budget allows 200 and 96 rows
+    for cfg, want in ((ACCEPTANCE, 200), (ModelConfig(), 96)):
         row_bytes = cfg.n_heads * 101 * 101 * 8
         rows = E.predict_rows(cfg, 101)
         assert rows == want
         assert rows * row_bytes <= E.SCORE_BYTES < (rows + 8) * row_bytes
-    assert E.predict_rows(acceptance, 10_000) == 1
+    assert E.predict_rows(ACCEPTANCE, 10_000) == 1
