@@ -5,8 +5,7 @@ Little-endian layout:
     magic   8 bytes  "MFNCKPT1"
     version u32
     hlen    u32      length of the UTF-8 JSON header
-    header  bytes    {"format_version", "model_config", "datasets",
-                      "phase", "rng_state"}
+    header  bytes    {"model_config", "datasets", "phase"}
     count   u32      number of parameter records
     record  repeated:
         name_len u16, name utf-8,
@@ -35,13 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import DatasetSignature, ModelAssembly, ModelConfig
 
 MAGIC = b"MFNCKPT1"
 VERSION = 1
 _F64 = 0     # dtype tag of every record
-_HEADER_KEYS = ("model_config", "datasets", "phase", "rng_state")
+_HEADER_KEYS = ("model_config", "datasets", "phase")
 
 
 @dataclass
@@ -49,7 +48,6 @@ class Checkpoint:
     config: ModelConfig
     datasets: dict[str, DatasetSignature]
     phase: str
-    rng_state: dict | None
     records: list[tuple[str, tuple[int, ...], bytes]]   # (name, shape, payload)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -61,11 +59,9 @@ class Checkpoint:
 
     def save(self, path) -> None:
         header = {
-            "format_version": VERSION,
             "model_config": dataclasses.asdict(self.config),
-            "datasets": {k: v.to_dict() for k, v in self.datasets.items()},
+            "datasets": {k: dataclasses.asdict(v) for k, v in self.datasets.items()},
             "phase": self.phase,
-            "rng_state": self.rng_state,
         }
         hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
         chunks = [MAGIC, struct.pack("<II", VERSION, len(hbytes)), hbytes,
@@ -119,7 +115,7 @@ class Checkpoint:
             config = ModelConfig(**header["model_config"])
             datasets = {k: DatasetSignature.from_dict(v)
                         for k, v in header["datasets"].items()}
-        except (TypeError, KeyError, AttributeError) as exc:
+        except (TypeError, KeyError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
         (count,) = struct.unpack("<I", take(4, "record count"))
         records = []
@@ -145,27 +141,23 @@ class Checkpoint:
             config=config,
             datasets=datasets,
             phase=header["phase"],
-            rng_state=header["rng_state"],
             records=records,
         )
 
 
-def checkpoint_from_assembly(assembly: ModelAssembly, phase: str,
-                             rng_state: dict | None = None) -> Checkpoint:
+def checkpoint_from_assembly(assembly: ModelAssembly, phase: str) -> Checkpoint:
     records = [(name, p.shape, np.ascontiguousarray(p.data, dtype="<f8").tobytes())
                for name, p in assembly.parameters().items()]
     return Checkpoint(
         config=assembly.config,
         datasets={k: v.signature for k, v in assembly.datasets.items()},
         phase=phase,
-        rng_state=rng_state,
         records=records,
     )
 
 
-def save_checkpoint(assembly: ModelAssembly, path, phase: str,
-                    rng_state: dict | None = None) -> Checkpoint:
-    ckpt = checkpoint_from_assembly(assembly, phase, rng_state)
+def save_checkpoint(assembly: ModelAssembly, path, phase: str) -> Checkpoint:
+    ckpt = checkpoint_from_assembly(assembly, phase)
     ckpt.save(path)
     return ckpt
 

@@ -1,43 +1,46 @@
 """Run configuration: JSON file + dotted-path overrides.
 
-Defaults follow the reference setup (width 192, 4 blocks, 8 heads,
-4 basis maps, learning rate 1e-4, weight decay 1e-5, batch cap 1024,
-calibration 240 epochs full / 40 limited, refinement 5 epochs).  Every
-command writes its resolved configuration next to its outputs so a run
-can be reproduced bit-for-bit from the echoed file.
+The ``model``, ``data.synth`` and ``phases.<phase>`` sections hold the
+fields of ``ModelConfig``, ``SynthSuiteSpec`` and ``PhaseSpec`` under
+their field names, with the dataclasses' defaults; each dataclass checks
+its own values.  Only the phases' epoch budgets come from
+``training.DEFAULT_EPOCHS``, and ``seed`` is the run's.  Every command
+writes its resolved configuration next to its outputs so a run can be
+reproduced bit-for-bit from the echoed file.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
+from functools import partial
 from pathlib import Path
 
 from .data import SETTINGS, SynthSuiteSpec
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int
 from .model import ModelConfig
-from .training import PhaseSpec, default_calibrate_epochs
+from .training import DEFAULT_EPOCHS, PhaseSpec, default_calibrate_epochs
 
 OUTPUT_ROOT_ENV = "METAFN_OUTPUT_ROOT"
 
+
+def _section(spec, *run_keys: str) -> dict:
+    """A spec's fields as a configuration section, less those the run supplies."""
+    return {k: v for k, v in dataclasses.asdict(spec).items() if k not in run_keys}
+
+
 DEFAULTS: dict = {
-    "model": {"d": 192, "blocks": 4, "heads": 8, "basis": 4, "d_ffn": 256,
-              "cal_hidden": 16, "mode": "mlp"},
+    "model": _section(ModelConfig()),
     "data": {
-        "synth": SynthSuiteSpec().to_dict(),
+        "synth": _section(SynthSuiteSpec()),
         "suite_dir": None,          # read an exported suite instead of generating
         "tasks": [],                # extra CSV tasks: [{"csv":..., "manifest":...}]
     },
-    "phases": {
-        "pretrain": {"epochs": 50, "batch_cap": 1024, "lr": 1e-4,
-                     "weight_decay": 1e-5, "warmup_frac": 0.2},
-        "calibrate": {"epochs": None, "batch_cap": 1024, "lr": 1e-4,
-                      "weight_decay": 1e-5, "warmup_frac": 0.2},
-        "refine": {"epochs": 5, "batch_cap": 1024, "lr": 1e-4,
-                   "weight_decay": 1e-5, "warmup_frac": 0.2},
-    },
+    "phases": {phase: {**_section(PhaseSpec(phase, 0), "phase", "seed"), "epochs": epochs}
+               for phase, epochs in DEFAULT_EPOCHS.items()},
     "settings": ["T-100"],
     "seed": 0,
     "output_dir": "runs/default",
@@ -75,8 +78,30 @@ class RunConfig:
     """Validated run configuration with helpers to build typed specs."""
 
     def __init__(self, resolved: dict):
+        """Check every key: each spec section through its dataclass, the rest here."""
         self.raw = resolved
-        self.validate()
+        check_int("seed", self.raw["seed"], 0)
+        specs = {"model": self.model_config, "data.synth": self.synth_spec,
+                 **{f"phases.{p}": partial(self.phase_spec, p) for p in self.raw["phases"]}}
+        for section, build in specs.items():
+            try:
+                build()
+            except ConfigError as exc:
+                raise ConfigError(f"{section}.{exc}") from None
+        if not isinstance(self.raw["output_dir"], str):
+            raise ConfigError("output_dir must be a string")
+        if not isinstance(self.raw["data"]["suite_dir"], (str, type(None))):
+            raise ConfigError("data.suite_dir must be a string or null")
+        if not isinstance(self.raw["settings"], list):
+            raise ConfigError("settings must be a list of setting names")
+        for name in self.raw["settings"]:
+            if not isinstance(name, str) or name not in SETTINGS:
+                raise ConfigError(f"settings: unknown setting name {name!r}")
+        tasks = self.raw["data"]["tasks"]
+        if not isinstance(tasks, list) or not all(
+                isinstance(t, dict) and isinstance(t.get("csv"), str)
+                and isinstance(t.get("manifest"), str) for t in tasks):
+            raise ConfigError('data.tasks must list {"csv": path, "manifest": path} entries')
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str] = ()) -> "RunConfig":
@@ -97,61 +122,19 @@ class RunConfig:
             cfg = _deep_merge(cfg, value)
         return cls(cfg)
 
-    def validate(self) -> None:
-        check_int("seed", self.raw["seed"], 0)
-        for key, value in self.raw["model"].items():
-            if key != "mode":
-                check_int(f"model.{key}", value, 1)
-        try:
-            self.model_config().validate()
-        except ConfigError as exc:
-            raise ConfigError(f"model: {exc}") from None
-        try:
-            self.synth_spec().validate()
-        except ConfigError as exc:
-            raise ConfigError(f"data.synth.{exc}") from None
-        if not isinstance(self.raw["output_dir"], str):
-            raise ConfigError("output_dir must be a string")
-        if not isinstance(self.raw["data"]["suite_dir"], (str, type(None))):
-            raise ConfigError("data.suite_dir must be a string or null")
-        if not isinstance(self.raw["settings"], list):
-            raise ConfigError("settings must be a list of setting names")
-        for name in self.raw["settings"]:
-            if not isinstance(name, str) or name not in SETTINGS:
-                raise ConfigError(f"settings: unknown setting name {name!r}")
-        for phase, spec in self.raw["phases"].items():
-            here = f"phases.{phase}"
-            if spec["epochs"] is not None or phase != "calibrate":
-                check_int(f"{here}.epochs", spec["epochs"], 0)
-            check_int(f"{here}.batch_cap", spec["batch_cap"], 1)
-            check_real(f"{here}.lr", spec["lr"], 0.0)
-            check_real(f"{here}.weight_decay", spec["weight_decay"], 0.0)
-            check_real(f"{here}.warmup_frac", spec["warmup_frac"], 0.0, 1.0)
-        tasks = self.raw["data"]["tasks"]
-        if not isinstance(tasks, list) or not all(
-                isinstance(t, dict) and isinstance(t.get("csv"), str)
-                and isinstance(t.get("manifest"), str) for t in tasks):
-            raise ConfigError('data.tasks must list {"csv": path, "manifest": path} entries')
-
     # -- typed views -----------------------------------------------------------
 
     def model_config(self) -> ModelConfig:
-        m = self.raw["model"]
-        return ModelConfig(d=m["d"], n_blocks=m["blocks"], n_heads=m["heads"],
-                           n_basis=m["basis"], d_ffn=m["d_ffn"],
-                           cal_hidden=m["cal_hidden"], mode=m["mode"])
+        return ModelConfig(**self.raw["model"])
 
     def synth_spec(self) -> SynthSuiteSpec:
         return SynthSuiteSpec(**self.raw["data"]["synth"])
 
     def phase_spec(self, phase: str, setting: str | None = None) -> PhaseSpec:
-        p = self.raw["phases"][phase]
-        epochs = p["epochs"]
-        if epochs is None:     # calibration only; validate rejects it elsewhere
-            epochs = default_calibrate_epochs(setting or "T-full")
-        return PhaseSpec(phase=phase, epochs=epochs, batch_cap=p["batch_cap"],
-                         base_lr=p["lr"], weight_decay=p["weight_decay"],
-                         warmup_frac=p["warmup_frac"], seed=self.raw["seed"])
+        section = dict(self.raw["phases"][phase])
+        if section["epochs"] is None and phase == "calibrate":
+            section["epochs"] = default_calibrate_epochs(setting or "T-full")
+        return PhaseSpec(phase=phase, seed=self.raw["seed"], **section)
 
     @property
     def seed(self) -> int:

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -368,8 +368,8 @@ def save_csv(bundle: DatasetBundle, csv_path, manifest_path) -> None:
 @dataclass(frozen=True)
 class SynthSuiteSpec:
     seed: int = 0
-    n_basis_functions: int = 6   # shared nonlinearities
-    n_pretrain: int = 16         # pretraining datasets
+    n_basis_functions: int = 6   # shared nonlinearities, at least 2
+    n_pretrain: int = 16         # pretraining datasets, at least 2
     rows_per_dataset: int = 2000
     n_features: int = 8
     noise_std: float = 0.1
@@ -379,18 +379,11 @@ class SynthSuiteSpec:
     curvature: float = 3.0       # steepness of the tanh units
     mixture_alpha: float = 0.3   # Dirichlet concentration; small = sparse mixtures
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSuiteSpec":
-        return cls(**d)
-
-    def validate(self) -> None:
-        """Raise ``ConfigError`` naming the first field of the wrong type or range."""
+    def __post_init__(self):
         check_int("seed", self.seed, 0)
-        for name in ("n_basis_functions", "n_pretrain", "rows_per_dataset", "n_features",
-                     "n_heldout", "heldout_rows", "hidden"):
+        for name in ("n_basis_functions", "n_pretrain"):
+            check_int(name, getattr(self, name), 2)
+        for name in ("rows_per_dataset", "n_features", "n_heldout", "heldout_rows", "hidden"):
             check_int(name, getattr(self, name), 1)
         for name in ("noise_std", "curvature", "mixture_alpha"):
             check_real(name, getattr(self, name), 0.0)
@@ -481,8 +474,6 @@ def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
 
 def generate_synth_suite(spec: SynthSuiteSpec) -> SynthSuite:
     """Deterministically build pretraining and held-out bundles from the spec."""
-    if spec.n_basis_functions < 2 or spec.n_pretrain < 2:
-        raise UsageError("the suite needs at least 2 basis functions and 2 datasets")
     basis = _basis_functions(spec)
     keys = np.random.SeedSequence(spec.seed).spawn(2 + spec.n_pretrain + spec.n_heldout)
     pretrain = [
@@ -499,7 +490,7 @@ def generate_synth_suite(spec: SynthSuiteSpec) -> SynthSuite:
 def export_suite(suite: SynthSuite, out_dir) -> None:
     """Write every bundle as CSV + manifest, plus a suite.json with provenance."""
     out = Path(out_dir)
-    meta = {"spec": suite.spec.to_dict(), "mixtures": {}}
+    meta = {"spec": asdict(suite.spec), "mixtures": {}}
     for sub, bundles in (("pretrain", suite.pretrain), ("heldout", suite.heldout)):
         (out / sub).mkdir(parents=True, exist_ok=True)
         for b in bundles:
@@ -523,8 +514,7 @@ def load_suite(suite_dir) -> SynthSuite:
     except ValueError as exc:   # not UTF-8 or not JSON
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     try:
-        spec = SynthSuiteSpec.from_dict(meta["spec"])
-        spec.validate()
+        spec = SynthSuiteSpec(**meta["spec"])
         mixtures = {name: np.array([float(v) for v in mix])
                     for name, mix in dict(meta["mixtures"]).items()}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

@@ -39,3 +39,10 @@ def check_real(key: str, value, low: float, high: float = math.inf) -> None:
             or not math.isfinite(value) or not low <= value <= high):
         bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ConfigError(f"{key} must be a finite number {bounds}, not {value!r}")
+
+
+def check_choice(key: str, value, choices: tuple) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(map(repr, choices))}, "
+                          f"not {value!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .calinear import CaLinear, calinear_ffn_forward
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, UsageError, check_choice, check_int
 from .nn import Parameter, init_attention, self_attention, uniform_fan_in
 from .tensor import Tensor, layer_norm
 
@@ -43,13 +43,12 @@ class ModelConfig:
     cal_hidden: int = 16
     mode: str = "mlp"
 
-    def validate(self) -> None:
-        if self.d % self.n_heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.n_heads}")
-        if self.n_basis < 1 or self.n_blocks < 1:
-            raise ConfigError("n_basis and n_blocks must be at least 1")
-        if self.mode not in COEFFICIENT_MODES:
-            raise ConfigError(f"unknown coefficient mode {self.mode!r}")
+    def __post_init__(self):
+        for name in ("d", "n_blocks", "n_heads", "n_basis", "d_ffn", "cal_hidden"):
+            check_int(name, getattr(self, name), 1)
+        if self.d % self.n_heads:
+            raise ConfigError(f"n_heads must divide d={self.d}, not {self.n_heads}")
+        check_choice("mode", self.mode, COEFFICIENT_MODES)
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,17 @@ class DatasetSignature:
     def n_categorical(self) -> int:
         return sum(k == "categorical" for k in self.feature_kinds)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "task": self.task,
-                "feature_kinds": list(self.feature_kinds),
-                "cardinalities": list(self.cardinalities)}
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, not {self.name!r}")
+        check_choice("task", self.task, ("binary", "regression"))
+        for kind in self.feature_kinds:
+            check_choice("feature_kinds", kind, ("numeric", "categorical"))
+        if len(self.cardinalities) != self.n_categorical:
+            raise ConfigError(f"cardinalities must hold one count per categorical feature "
+                              f"({self.n_categorical}), not {len(self.cardinalities)}")
+        for card in self.cardinalities:
+            check_int("cardinalities", card, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSignature":
@@ -265,7 +271,6 @@ class ModelAssembly:
     """Shared transformer body plus per-dataset tokenizers, heads, contexts."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        config.validate()
         self.config = config
         self.seed = seed
         self.provenance: str | None = None
@@ -307,8 +312,6 @@ class ModelAssembly:
         """Create fresh dataset-specific parts; the shared body is untouched."""
         if sig.name in self.datasets:
             raise UsageError(f"dataset {sig.name!r} already attached")
-        if sig.task not in ("binary", "regression"):
-            raise ConfigError(f"unknown task type {sig.task!r}")
         cfg = self.config
         rng = np.random.default_rng(_dataset_seed(self.seed, sig.name))
         prefix = f"datasets.{sig.name}"

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil
 from typing import Iterator
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import data as D
 from . import evaluate as E
-from .errors import UsageError
+from .errors import UsageError, check_choice, check_int, check_real
 from .model import ModelAssembly
 from .nn import Parameter, compute_loss
 from .optim import AdamW, lr_at
@@ -55,6 +55,20 @@ class PhaseSpec:
     weight_decay: float = 1e-5
     warmup_frac: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        check_choice("phase", self.phase, ("pretrain", "calibrate", "refine", "scratch"))
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_cap", self.batch_cap, 1)
+        check_real("base_lr", self.base_lr, 0.0)
+        check_real("weight_decay", self.weight_decay, 0.0)
+        check_real("warmup_frac", self.warmup_frac, 0.0, 1.0)
+        check_int("seed", self.seed, 0)
+
+
+# The reference epoch budget of each configured phase.  Calibration's is
+# None: it follows the limited-data setting, see default_calibrate_epochs.
+DEFAULT_EPOCHS = {"pretrain": 50, "calibrate": None, "refine": 5}
 
 
 def default_calibrate_epochs(setting_name: str) -> int:
@@ -71,9 +85,6 @@ class LogEntry:
     lr_shared: float
     wall_time: float
     changed_params: list[str]
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -93,7 +104,7 @@ class TrainLog:
                     "diverged": self.diverged}
             fh.write(json.dumps(meta, sort_keys=True) + "\n")
             for e in self.entries:
-                fh.write(json.dumps(e.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
 
 
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:

@@ -27,8 +27,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     asm = make_assembly()
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    save_checkpoint(asm, p1, phase="pretrain",
-                    rng_state={"bit_generator": "PCG64", "state": {"state": 1, "inc": 2}})
+    save_checkpoint(asm, p1, phase="pretrain")
     Checkpoint.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -172,14 +171,28 @@ def edited_header(blob: bytes, edit) -> bytes:
     (lambda b: edited_header(b, lambda h: h["model_config"].update(bogus=1)), "bogus"),
     (lambda b: edited_header(b, lambda h: h["model_config"].update(ln_eps=1e-5, dropout=0.0)),
      "ln_eps"),
+    (lambda b: edited_header(b, lambda h: h["model_config"].update(n_heads=0)), "n_heads"),
+    (lambda b: edited_header(b, lambda h: h["datasets"]["t1"].update(
+        feature_kinds=["numeric", "bogus"])), "feature_kinds"),
 ], ids=["not-utf8", "not-json", "not-object", "no-phase", "no-datasets",
-        "no-model-config", "unknown-config-key", "deleted-config-keys"])
+        "no-model-config", "unknown-config-key", "deleted-config-keys", "zero-heads",
+        "unknown-feature-kind"])
 def test_malformed_header_names_the_file(tmp_path, make, message):
     path, blob = saved_blob(tmp_path)
     path.write_bytes(make(blob))
     with pytest.raises(CheckpointError, match=message) as err:
         Checkpoint.load(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_older_header_keys_are_ignored(tmp_path):
+    # files written before the header lost format_version and rng_state
+    path, blob = saved_blob(tmp_path)
+    older = edited_header(blob, lambda h: h.update(format_version=1, rng_state=None))
+    assert len(older) == len(blob) + 40
+    path.write_bytes(older)
+    assert Checkpoint.load(path).records == checkpoint_from_assembly(
+        make_assembly(), "pretrain").records
 
 
 def with_bad_shape(ckpt, name):

@@ -11,6 +11,7 @@ from metafn.cli import main
 from metafn.config import DEFAULTS, RunConfig, parse_override
 from metafn.errors import ConfigError
 from metafn.model import ModelConfig
+from metafn.training import PhaseSpec
 
 REPO = Path(__file__).resolve().parents[1]
 TINY = REPO / "configs" / "tiny.json"
@@ -97,10 +98,10 @@ def test_resolved_config_reproduces_run(pipeline_dir, tmp_path):
 
 
 def test_m_override_runs_degenerate_baseline(tmp_path):
-    assert run("gen-synth", tmp_path, extra=["--set", "model.basis=1"]) == 0
-    assert run("pretrain", tmp_path, extra=["--set", "model.basis=1"]) == 0
+    assert run("gen-synth", tmp_path, extra=["--set", "model.n_basis=1"]) == 0
+    assert run("pretrain", tmp_path, extra=["--set", "model.n_basis=1"]) == 0
     resolved = json.loads((tmp_path / "run" / "config.resolved.json").read_text())
-    assert resolved["model"]["basis"] == 1
+    assert resolved["model"]["n_basis"] == 1
 
 
 def test_invalid_setting_name_exits_2(tmp_path):
@@ -109,10 +110,13 @@ def test_invalid_setting_name_exits_2(tmp_path):
     assert code == 2
 
 
-def test_unknown_config_key_exits_2(tmp_path):
-    code = main(["pretrain", "--config", str(TINY),
-                 "--set", "model.bogus=1"])
-    assert code == 2
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a made-up key, then the key names before they became the spec field names
+    for override in ("model.bogus=1", "model.blocks=2", "model.heads=2", "model.basis=2",
+                     "phases.pretrain.lr=0.01"):
+        assert main(["pretrain", "--config", str(TINY), "--set", override]) == 2
+        key = override.split("=")[0]
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [
@@ -124,8 +128,9 @@ def test_unknown_config_key_exits_2(tmp_path):
     "seed=1.5",
     "phases.pretrain.epochs=five",
     "model.d=wide",
-    "phases.pretrain.lr=fast",
+    "phases.pretrain.base_lr=fast",
     "data.synth.n_features=0",
+    "data.synth.n_pretrain=1",
     "model.d_ffn=0",
     "model=5",
     "output_dir=5",
@@ -178,24 +183,23 @@ def test_output_root_env_var(tmp_path, monkeypatch):
 
 
 def test_parse_override_types():
-    assert parse_override("model.basis=4") == ("model.basis", 4)
+    assert parse_override("model.n_basis=4") == ("model.n_basis", 4)
     assert parse_override('settings=["T-20"]') == ("settings", ["T-20"])
     assert parse_override("data.suite_dir=/x/y") == ("data.suite_dir", "/x/y")
     with pytest.raises(ConfigError):
         parse_override("no-equals-sign")
 
 
-def test_every_model_config_field_has_a_config_key():
-    # a ModelConfig field that no configuration key sets holds one value in
-    # every run: each field must follow some key of the "model" section
-    default = RunConfig(DEFAULTS).model_config()
-    followed = set()
-    for key, value in DEFAULTS["model"].items():
-        changed = "direct" if key == "mode" else 2 * value
-        m = RunConfig.load(None, [f"model.{key}={json.dumps(changed)}"]).model_config()
-        followed |= {f.name for f in dataclasses.fields(m)
-                     if getattr(m, f.name) != getattr(default, f.name)}
-    assert followed == {f.name for f in dataclasses.fields(ModelConfig)}
+def test_spec_sections_hold_exactly_their_dataclass_fields():
+    # every spec field is set by the configuration key of the same name;
+    # the phase name and the seed come from the run
+    def names(cls, *run_keys):
+        return {f.name for f in dataclasses.fields(cls)} - set(run_keys)
+    assert set(DEFAULTS["model"]) == names(ModelConfig)
+    assert set(DEFAULTS["data"]["synth"]) == names(D.SynthSuiteSpec)
+    assert set(DEFAULTS["phases"]) == {"pretrain", "calibrate", "refine"}
+    for phase in DEFAULTS["phases"].values():
+        assert set(phase) == names(PhaseSpec, "phase", "seed")
 
 
 def test_defaults_match_reference_values():

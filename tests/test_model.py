@@ -4,12 +4,14 @@ import pytest
 from metafn import model as M
 from metafn import tensor as T
 from metafn.calinear import calinear_ffn_forward
+from metafn.data import SynthSuiteSpec
 from metafn.errors import ConfigError, DataError, UsageError
 from metafn.gradcheck import check_gradients
 from metafn.model import (DatasetSignature, ModelAssembly, ModelConfig,
                           make_plain_twin)
 from metafn.nn import compute_loss, self_attention
 from metafn.tensor import layer_norm, no_grad
+from metafn.training import PhaseSpec
 
 SMALL = ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
 
@@ -224,11 +226,32 @@ def test_weight_decay_exemptions():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ModelConfig(d=10, n_heads=3).validate()
+        ModelConfig(d=10, n_heads=3)
     with pytest.raises(ConfigError):
-        ModelConfig(mode="bogus").validate()
+        ModelConfig(mode="bogus")
     with pytest.raises(ConfigError):
-        ModelConfig(n_blocks=0).validate()
+        ModelConfig(n_blocks=0)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: ModelConfig(n_heads=0), "n_heads"),
+    (lambda: ModelConfig(d=8.0), "d"),
+    (lambda: ModelConfig(d=10, n_heads=3), "n_heads"),
+    (lambda: PhaseSpec("pretrain", epochs=1, batch_cap=0), "batch_cap"),
+    (lambda: PhaseSpec("pretrain", epochs=1, base_lr=float("nan")), "base_lr"),
+    (lambda: PhaseSpec("pretrain", epochs=1, warmup_frac=2.0), "warmup_frac"),
+    (lambda: PhaseSpec("pretrain", epochs=-1), "epochs"),
+    (lambda: SynthSuiteSpec(n_pretrain=1), "n_pretrain"),
+    (lambda: DatasetSignature(5, "regression", ("numeric",), ()), "name"),
+    (lambda: DatasetSignature("t", "multiclass", ("numeric",), ()), "task"),
+    (lambda: DatasetSignature("t", "regression", ("numeric", "text"), ()), "feature_kinds"),
+    (lambda: DatasetSignature("t", "regression", ("categorical",), (3, 4)), "cardinalities"),
+], ids=["zero-heads", "float-width", "heads-not-dividing-width", "zero-batch-cap",
+        "nan-lr", "warmup-above-one", "negative-epochs", "one-pretrain-table",
+        "numeric-name", "multiclass-task", "unknown-feature-kind", "extra-cardinality"])
+def test_invalid_spec_raises_config_error_naming_the_field(build, field):
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        build()
 
 
 def test_m1_degeneracy_against_plain_twin():
