@@ -13,7 +13,7 @@ from .data import (DatasetBundle, Schema, SynthSuiteSpec, apply_setting,
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      MetafnError, UsageError)
 from .gradcheck import check_gradients
-from .model import DatasetSignature, ModelAssembly, ModelConfig, make_plain_twin
+from .model import DatasetSignature, ModelAssembly, ModelConfig
 from .nn import Parameter, compute_loss, self_attention
 from .optim import AdamW, lr_at
 from .tensor import Tensor, layer_norm, no_grad, softmax
@@ -29,6 +29,6 @@ __all__ = [
     "apply_setting", "assembly_from_checkpoint", "calibrate",
     "calinear_ffn_forward", "check_gradients", "compute_loss",
     "generate_synth_suite", "layer_norm", "load_csv", "load_shared", "lr_at",
-    "make_plain_twin", "no_grad", "pretrain", "refine", "save_checkpoint",
-    "self_attention", "softmax", "split", "train_from_scratch",
+    "no_grad", "pretrain", "refine", "save_checkpoint", "self_attention",
+    "softmax", "split", "train_from_scratch",
 ]

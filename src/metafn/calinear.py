@@ -81,8 +81,4 @@ class CaLinear:
 
 def calinear_ffn_forward(lin1, lin2, z: Tensor, c1: Tensor, c2: Tensor) -> Tensor:
     """Two-layer feed-forward block: lin2(relu(lin1(z))), coefficients per layer."""
-    if lin1.d_out != lin2.d_in:
-        raise DimensionError(
-            f"FFN width mismatch: first layer emits {lin1.d_out}, "
-            f"second expects {lin2.d_in}")
     return lin2.forward(T.relu(lin1.forward(z, c1)), c2)

@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_choice
 from .model import DatasetSignature, ModelAssembly, ModelConfig
+from .training import PHASES
 
 MAGIC = b"MFNCKPT1"
 VERSION = 1
@@ -115,6 +116,11 @@ class Checkpoint:
             config = ModelConfig(**header["model_config"])
             datasets = {k: DatasetSignature.from_dict(v)
                         for k, v in header["datasets"].items()}
+            for key, sig in datasets.items():
+                if key != sig.name:
+                    raise ConfigError(f"datasets key {key!r} differs from its "
+                                      f"signature's name {sig.name!r}")
+            check_choice("phase", header["phase"], PHASES)
         except (TypeError, KeyError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
         (count,) = struct.unpack("<I", take(4, "record count"))

@@ -257,9 +257,10 @@ def de_standardize_mse(bundle: DatasetBundle, standardized_mse: float) -> float:
 
 def prepare(bundle: DatasetBundle, split_seed: int,
             setting: SettingSpec | str = "T-full") -> DatasetBundle:
-    """Split, apply the setting and fit transforms, each seeded by ``split_seed``."""
-    split(bundle, split_seed)
-    return fit_transforms(apply_setting(bundle, setting, split_seed), split_seed)
+    """Split a copy of ``bundle``, apply the setting and fit transforms, seeded by ``split_seed``."""
+    full = replace(bundle)
+    split(full, split_seed)
+    return fit_transforms(apply_setting(full, setting, split_seed), split_seed)
 
 
 # -- CSV + manifest ----------------------------------------------------------

@@ -183,8 +183,6 @@ def win_tie_loss(table: ScoreTable, method_a: str, method_b: str,
 
 def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path) -> dict:
     """Dump per-(dataset, token, layer) mixture coefficients as JSON."""
-    if assembly.config.mode == "plain":
-        raise UsageError("the plain baseline has no mixture coefficients")
     records = []
     with no_grad():
         for name in dataset_names:

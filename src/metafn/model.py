@@ -13,12 +13,13 @@ Coefficient modes:
   * ``mlp``    - coefficients come from each layer's calibration MLP fed
                  with the dataset's context vector (the default).
   * ``direct`` - each dataset owns a learnable logit matrix per layer.
-  * ``plain``  - ordinary linear FFN, no basis mixture (baseline).
+
+With ``n_basis=1`` every coefficient is 1.0, so each feed-forward sublayer
+is an ordinary two-layer FFN: that is the baseline without basis mixing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .errors import ConfigError, DataError, UsageError, check_choice, check_int
 from .nn import Parameter, init_attention, self_attention, uniform_fan_in
 from .tensor import Tensor, layer_norm
 
-COEFFICIENT_MODES = ("mlp", "direct", "plain")
+COEFFICIENT_MODES = ("mlp", "direct")
 
 
 @dataclass(frozen=True)
@@ -91,22 +92,6 @@ class DatasetSignature:
     def from_dict(cls, d: dict) -> "DatasetSignature":
         return cls(d["name"], d["task"], tuple(d["feature_kinds"]),
                    tuple(d["cardinalities"]))
-
-
-class PlainLinear:
-    """Ordinary affine map used by the baseline (no basis mixture)."""
-
-    def __init__(self, d_in, d_out, rng, name):
-        self.d_in, self.d_out = d_in, d_out
-        self.weight = Parameter(uniform_fan_in(rng, d_in, (d_in, d_out)), f"{name}.weight")
-        self.bias = Parameter(uniform_fan_in(rng, d_in, (d_out,)), f"{name}.bias",
-                              weight_decay_exempt=True)
-
-    def parameters(self):
-        return [self.weight, self.bias]
-
-    def forward(self, z: Tensor) -> Tensor:
-        return T.linear(z, self.weight, self.bias)
 
 
 class FeatureTokenizer:
@@ -207,21 +192,21 @@ class Block:
                                 weight_decay_exempt=True),
                       Parameter(np.zeros(cfg.d), f"{prefix}.norm2.beta",
                                 weight_decay_exempt=True))
-        if cfg.mode == "plain":
-            self.lin1 = PlainLinear(cfg.d, cfg.d_ffn, rng, f"{prefix}.ffn.lin1")
-            self.lin2 = PlainLinear(cfg.d_ffn, cfg.d, rng, f"{prefix}.ffn.lin2")
-        else:
-            self.lin1 = CaLinear(cfg.d, cfg.d_ffn, cfg.n_basis, rng,
-                                 f"{prefix}.ffn.lin1", cfg.cal_hidden)
-            self.lin2 = CaLinear(cfg.d_ffn, cfg.d, cfg.n_basis, rng,
-                                 f"{prefix}.ffn.lin2", cfg.cal_hidden)
+        self.lin1 = CaLinear(cfg.d, cfg.d_ffn, cfg.n_basis, rng,
+                             f"{prefix}.ffn.lin1", cfg.cal_hidden)
+        self.lin2 = CaLinear(cfg.d_ffn, cfg.d, cfg.n_basis, rng,
+                             f"{prefix}.ffn.lin2", cfg.cal_hidden)
+        # direct mode reads no calibration MLP: it is still drawn, so both
+        # modes share one RNG stream, but its parameters are not listed
+        self.reads_cal_mlp = cfg.mode == "mlp"
 
     def parameters(self) -> list[Parameter]:
         ps = list(self.attn.all())
         if self.norm1 is not None:
             ps += list(self.norm1)
         ps += list(self.norm2)
-        ps += self.lin1.parameters() + self.lin2.parameters()
+        for lin in (self.lin1, self.lin2):
+            ps += lin.parameters() if self.reads_cal_mlp else [lin.weight, lin.bias]
         return ps
 
     def norm_parameters(self) -> list[Parameter]:
@@ -367,13 +352,9 @@ class ModelAssembly:
             else:
                 h = h + self_attention(a_in, block.attn, cfg.n_heads)
             f_in = layer_norm(h, *block.norm2)
-            if cfg.mode == "plain":
-                f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
-            else:
-                c1 = self._ffn_coefficients(parts, 2 * block.idx, block.lin1)
-                c2 = self._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
-                f = calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
-            h = h + f
+            c1 = self._ffn_coefficients(parts, 2 * block.idx, block.lin1)
+            c2 = self._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
+            h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
         return parts.head.forward(h[:, 0, :])
 
     # -- partitioning ----------------------------------------------------------
@@ -387,28 +368,3 @@ class ModelAssembly:
             group[name] = p
         return ParamPartition(ds, shared_norm, shared_rest)
 
-
-def make_plain_twin(src: ModelAssembly) -> ModelAssembly:
-    """Build a plain-FFN baseline carrying the same weights as ``src``.
-
-    Requires the source to have a single basis map per layer (n_basis=1);
-    its unique basis becomes the twin's ordinary linear weights.
-    """
-    if src.config.mode == "plain":
-        raise UsageError("source assembly is already plain")
-    if src.config.n_basis != 1:
-        raise UsageError("a plain twin needs n_basis=1 in the source")
-    cfg = dataclasses.replace(src.config, mode="plain")
-    twin = ModelAssembly(cfg, seed=src.seed)
-    for name, p in twin.shared_parameters().items():
-        if ".ffn." in name:
-            tag = "weight" if name.endswith("weight") else "bias"
-            source = src.parameters()[name.replace(f".{tag}", f".basis.{tag}")]
-            p.data = source.data[0].copy()
-        elif name in src.parameters():
-            p.data = src.parameters()[name].data.copy()
-    for ds_name, parts in src.datasets.items():
-        twin.attach_dataset(parts.signature)
-        for p in parts.tokenizer.parameters() + parts.head.parameters():
-            twin.parameters()[p.name].data = p.data.copy()
-    return twin

@@ -45,10 +45,13 @@ from .model import ModelAssembly
 from .nn import Parameter, compute_loss
 from .optim import AdamW, lr_at
 
+# every phase name a spec, a train log or a checkpoint header may carry
+PHASES = ("pretrain", "calibrate", "refine", "scratch")
+
 
 @dataclass
 class PhaseSpec:
-    phase: str                 # "pretrain" | "calibrate" | "refine" | "scratch"
+    phase: str                 # one of PHASES
     epochs: int
     batch_cap: int = 1024
     base_lr: float = 1e-4
@@ -57,7 +60,7 @@ class PhaseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_choice("phase", self.phase, ("pretrain", "calibrate", "refine", "scratch"))
+        check_choice("phase", self.phase, PHASES)
         check_int("epochs", self.epochs, 0)
         check_int("batch_cap", self.batch_cap, 1)
         check_real("base_lr", self.base_lr, 0.0)

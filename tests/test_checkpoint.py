@@ -174,9 +174,13 @@ def edited_header(blob: bytes, edit) -> bytes:
     (lambda b: edited_header(b, lambda h: h["model_config"].update(n_heads=0)), "n_heads"),
     (lambda b: edited_header(b, lambda h: h["datasets"]["t1"].update(
         feature_kinds=["numeric", "bogus"])), "feature_kinds"),
+    (lambda b: edited_header(b, lambda h: h["model_config"].update(mode="plain")), "mode"),
+    (lambda b: edited_header(b, lambda h: h.update(datasets={"other": h["datasets"]["t1"]})),
+     "'other' differs from its signature's name 't1'"),
+    (lambda b: edited_header(b, lambda h: h.update(phase=5)), "phase"),
 ], ids=["not-utf8", "not-json", "not-object", "no-phase", "no-datasets",
         "no-model-config", "unknown-config-key", "deleted-config-keys", "zero-heads",
-        "unknown-feature-kind"])
+        "unknown-feature-kind", "plain-mode", "dataset-key-not-its-name", "unknown-phase"])
 def test_malformed_header_names_the_file(tmp_path, make, message):
     path, blob = saved_blob(tmp_path)
     path.write_bytes(make(blob))

@@ -132,6 +132,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     "data.synth.n_features=0",
     "data.synth.n_pretrain=1",
     "model.d_ffn=0",
+    "model.mode=plain",
     "model=5",
     "output_dir=5",
     'settings=[["T-100"]]',

@@ -298,6 +298,13 @@ def test_prepare_pipeline_and_matrices():
     np.testing.assert_allclose(float(y.std()), 1.0, atol=1e-9)
 
 
+def test_prepare_leaves_its_input_unsplit():
+    raw = toy_bundle(100, seed=6)
+    out = D.prepare(raw, split_seed=0, setting="T-20")
+    assert raw.splits is None and raw.transforms is None
+    assert out.split_sizes() == {"test": 20, "valid": 5, "train": 20}
+
+
 def test_matrices_of_an_empty_split_keep_the_numeric_width():
     b = D.prepare(toy_bundle(5), split_seed=0)
     assert b.splits["valid"].size == 0

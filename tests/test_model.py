@@ -7,10 +7,9 @@ from metafn.calinear import calinear_ffn_forward
 from metafn.data import SynthSuiteSpec
 from metafn.errors import ConfigError, DataError, UsageError
 from metafn.gradcheck import check_gradients
-from metafn.model import (DatasetSignature, ModelAssembly, ModelConfig,
-                          make_plain_twin)
+from metafn.model import COEFFICIENT_MODES, DatasetSignature, ModelAssembly, ModelConfig
 from metafn.nn import compute_loss, self_attention
-from metafn.tensor import layer_norm, no_grad
+from metafn.tensor import Tensor, layer_norm, no_grad
 from metafn.training import PhaseSpec
 
 SMALL = ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
@@ -237,6 +236,7 @@ def test_config_validation():
     (lambda: ModelConfig(n_heads=0), "n_heads"),
     (lambda: ModelConfig(d=8.0), "d"),
     (lambda: ModelConfig(d=10, n_heads=3), "n_heads"),
+    (lambda: ModelConfig(mode="plain"), "mode"),
     (lambda: PhaseSpec("pretrain", epochs=1, batch_cap=0), "batch_cap"),
     (lambda: PhaseSpec("pretrain", epochs=1, base_lr=float("nan")), "base_lr"),
     (lambda: PhaseSpec("pretrain", epochs=1, warmup_frac=2.0), "warmup_frac"),
@@ -246,7 +246,8 @@ def test_config_validation():
     (lambda: DatasetSignature("t", "multiclass", ("numeric",), ()), "task"),
     (lambda: DatasetSignature("t", "regression", ("numeric", "text"), ()), "feature_kinds"),
     (lambda: DatasetSignature("t", "regression", ("categorical",), (3, 4)), "cardinalities"),
-], ids=["zero-heads", "float-width", "heads-not-dividing-width", "zero-batch-cap",
+], ids=["zero-heads", "float-width", "heads-not-dividing-width", "plain-mode",
+    "zero-batch-cap",
         "nan-lr", "warmup-above-one", "negative-epochs", "one-pretrain-table",
         "numeric-name", "multiclass-task", "unknown-feature-kind", "extra-cardinality"])
 def test_invalid_spec_raises_config_error_naming_the_field(build, field):
@@ -254,27 +255,30 @@ def test_invalid_spec_raises_config_error_naming_the_field(build, field):
         build()
 
 
-def test_m1_degeneracy_against_plain_twin():
+def plain_ffn(lin1, lin2, z, c1, c2):
+    """The ordinary two-layer FFN on each layer's basis 0; coefficients unread.
+    Swapped in for ``model.calinear_ffn_forward`` it makes an assembly its own
+    plain twin."""
+    hidden = T.relu(T.linear(z, Tensor(lin1.weight.data[0]), Tensor(lin1.bias.data[0])))
+    return T.linear(hidden, Tensor(lin2.weight.data[0]), Tensor(lin2.bias.data[0]))
+
+
+def test_m1_degeneracy_against_plain_twin(monkeypatch):
     cfg = ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=1, d_ffn=12, cal_hidden=4)
     asm = ModelAssembly(cfg, seed=16)
     sig = mixed_sig(name="deg")
     asm.attach_dataset(sig)
-    twin = make_plain_twin(asm)
     rng = np.random.default_rng(17)
+    batches = []
+    for _ in range(100):
+        B = int(rng.integers(1, 6))
+        batches.append((rng.standard_normal((B, 2)), rng.integers(0, 4, (B, 1))))
     with no_grad():
-        for trial in range(100):
-            B = int(rng.integers(1, 6))
-            x_num = rng.standard_normal((B, 2))
-            x_cat = rng.integers(0, 4, (B, 1))
-            a = asm.forward("deg", x_num, x_cat).data
-            b = twin.forward("deg", x_num, x_cat).data
-            np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-def test_plain_twin_requires_single_basis():
-    asm = ModelAssembly(SMALL, seed=18)
-    with pytest.raises(UsageError):
-        make_plain_twin(asm)
+        got = [asm.forward("deg", *b).data for b in batches]
+        monkeypatch.setattr(M, "calinear_ffn_forward", plain_ffn)
+        want = [asm.forward("deg", *b).data for b in batches]
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_direct_mode_creates_per_layer_logits():
@@ -328,15 +332,11 @@ def full_sequence_forward(asm, dataset, x_num, x_cat):
         a_in = h if block.norm1 is None else layer_norm(h, *block.norm1)
         h = h + self_attention(a_in, block.attn, cfg.n_heads)
         f_in = layer_norm(h, *block.norm2)
-        if cfg.mode == "plain":
-            f = block.lin2.forward(T.relu(block.lin1.forward(f_in)))
-        else:
-            c1 = asm._ffn_coefficients(parts, 2 * block.idx, block.lin1)
-            c2 = asm._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
-            rows = (h.shape[1], cfg.n_basis)
-            f = calinear_ffn_forward(block.lin1, block.lin2, f_in,
+        c1 = asm._ffn_coefficients(parts, 2 * block.idx, block.lin1)
+        c2 = asm._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
+        rows = (h.shape[1], cfg.n_basis)
+        h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in,
                                      T.broadcast_to(c1, rows), T.broadcast_to(c2, rows))
-        h = h + f
     return parts.head.forward(h[:, 0, :])
 
 
@@ -363,7 +363,7 @@ def spread_assembly(mode, n_blocks, task):
 
 @pytest.mark.parametrize("task", ["binary", "regression"])
 @pytest.mark.parametrize("n_blocks", [1, 2])
-@pytest.mark.parametrize("mode", ["mlp", "direct", "plain"])
+@pytest.mark.parametrize("mode", COEFFICIENT_MODES)
 def test_cls_query_forward_matches_the_full_sequence_forward(mode, n_blocks, task):
     asm, sig = spread_assembly(mode, n_blocks, task)
     x_num, x_cat = batch_for(sig, 6, seed=33)
@@ -396,7 +396,7 @@ def test_cls_query_forward_matches_the_full_sequence_forward(mode, n_blocks, tas
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2])
-@pytest.mark.parametrize("mode", ["mlp", "direct"])
+@pytest.mark.parametrize("mode", COEFFICIENT_MODES)
 def test_every_stored_coefficient_source_entry_takes_a_gradient(mode, n_blocks):
     # the context and the logits hold one row per token its layer reads, so
     # with random values one backward moves every entry: none is dead weight
@@ -415,6 +415,17 @@ def test_every_stored_coefficient_source_entry_takes_a_gradient(mode, n_blocks):
     compute_loss(asm.forward("eq", x_num, x_cat), y, "regression").backward()
     for p in sources:
         assert p.grad is not None and np.all(p.grad != 0), p.name
+
+
+@pytest.mark.parametrize("mode", COEFFICIENT_MODES)
+def test_every_registered_parameter_takes_a_gradient(mode):
+    # direct mode draws the calibration MLPs but never reads them, so they
+    # must stay out of the registry, the checkpoints and the optimizer
+    asm, sig = spread_assembly(mode, 2, "regression")
+    x_num, x_cat = batch_for(sig, 6, seed=38)
+    y = np.random.default_rng(39).standard_normal(6)
+    compute_loss(asm.forward("eq", x_num, x_cat), y, "regression").backward()
+    assert [n for n, p in asm.parameters().items() if p.grad is None] == []
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3])
