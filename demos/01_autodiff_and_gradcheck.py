@@ -39,7 +39,7 @@ def objective():
     return T.tmean(diff * diff)
 
 
-report = check_gradients(objective, [p], step=1e-5, tol=1e-8)
+report = check_gradients(objective, [p], tol=1e-8)
 print(report.summary())
 
 print("\n=== a corrupted gradient is caught and named ===")

@@ -28,10 +28,6 @@ from .config import RunConfig
 from .errors import ConfigError, MetafnError, UsageError
 from .model import ModelAssembly
 
-COMMANDS = ("gen-synth", "pretrain", "calibrate", "refine", "eval",
-            "export-coeffs", "report")
-
-
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -179,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metafn",
         description="cross-table pretraining for tabular prediction")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", default=None,
                         help="JSON run configuration (defaults are used if omitted)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],

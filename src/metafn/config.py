@@ -4,7 +4,8 @@ The ``model``, ``data.synth`` and ``phases.<phase>`` sections hold the
 fields of ``ModelConfig``, ``SynthSuiteSpec`` and ``PhaseSpec`` under
 their field names, with the dataclasses' defaults; each dataclass checks
 its own values.  Only the phases' epoch budgets come from
-``training.DEFAULT_EPOCHS``, and ``seed`` is the run's.  Every command
+``training.DEFAULT_EPOCHS``, and ``seed`` is the run's.  Settings no run
+varies are constants in ``optim`` and ``data``, not keys.  Every command
 writes its resolved configuration next to its outputs so a run can be
 reproduced bit-for-bit from the echoed file.
 """

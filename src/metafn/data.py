@@ -85,27 +85,9 @@ class Schema:
         return cls(d["name"], d["task"], cols)
 
 
-@dataclass(frozen=True)
-class SettingSpec:
-    """Limited-data protocol: caps on train and valid row counts."""
-    name: str
-    train_cap: int | None
-    valid_cap: int | None
-
-
-SETTINGS = {
-    "T-full": SettingSpec("T-full", None, None),
-    "T-200": SettingSpec("T-200", 200, 50),
-    "T-100": SettingSpec("T-100", 100, 25),
-    "T-50": SettingSpec("T-50", 50, 13),
-    "T-20": SettingSpec("T-20", 20, 5),
-}
-
-
-def get_setting(name: str) -> SettingSpec:
-    if name not in SETTINGS:
-        raise UsageError(f"unknown setting {name!r}; choose from {sorted(SETTINGS)}")
-    return SETTINGS[name]
+# Limited-data protocols: each name's caps on the train and valid row counts
+SETTINGS = {"T-full": (None, None), "T-200": (200, 50), "T-100": (100, 25),
+            "T-50": (50, 13), "T-20": (20, 5)}
 
 
 class QuantileTransform:
@@ -187,17 +169,16 @@ def split(bundle: DatasetBundle, seed: int) -> dict[str, np.ndarray]:
     return splits
 
 
-def apply_setting(bundle: DatasetBundle, setting: SettingSpec | str,
-                  seed: int) -> DatasetBundle:
+def apply_setting(bundle: DatasetBundle, setting: str, seed: int) -> DatasetBundle:
     """Subsample train/valid down to the setting's caps; test is untouched."""
-    if isinstance(setting, str):
-        setting = get_setting(setting)
+    if setting not in SETTINGS:
+        raise UsageError(f"unknown setting {setting!r}; choose from {sorted(SETTINGS)}")
     if bundle.splits is None:
         raise UsageError("split the bundle before applying a setting")
     rng = np.random.default_rng(seed)
     out = replace(bundle)
     new = dict(bundle.splits)
-    for key, cap in (("train", setting.train_cap), ("valid", setting.valid_cap)):
+    for key, cap in zip(("train", "valid"), SETTINGS[setting]):
         idx = bundle.splits[key]
         if cap is not None and idx.size > cap:
             new[key] = np.sort(rng.choice(idx, size=cap, replace=False))
@@ -256,7 +237,7 @@ def de_standardize_mse(bundle: DatasetBundle, standardized_mse: float) -> float:
 
 
 def prepare(bundle: DatasetBundle, split_seed: int,
-            setting: SettingSpec | str = "T-full") -> DatasetBundle:
+            setting: str = "T-full") -> DatasetBundle:
     """Split a copy of ``bundle``, apply the setting and fit transforms, seeded by ``split_seed``."""
     full = replace(bundle)
     split(full, split_seed)
@@ -365,6 +346,9 @@ def save_csv(bundle: DatasetBundle, csv_path, manifest_path) -> None:
 
 # -- synthetic suite ----------------------------------------------------------
 
+CURVATURE = 3.0       # least gain of the tanh units: their steepness
+MIXTURE_ALPHA = 0.3   # Dirichlet concentration of the mixtures; small = sparse
+
 
 @dataclass(frozen=True)
 class SynthSuiteSpec:
@@ -377,8 +361,6 @@ class SynthSuiteSpec:
     n_heldout: int = 10
     heldout_rows: int = 2000
     hidden: int = 16
-    curvature: float = 3.0       # steepness of the tanh units
-    mixture_alpha: float = 0.3   # Dirichlet concentration; small = sparse mixtures
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
@@ -386,10 +368,7 @@ class SynthSuiteSpec:
             check_int(name, getattr(self, name), 2)
         for name in ("rows_per_dataset", "n_features", "n_heldout", "heldout_rows", "hidden"):
             check_int(name, getattr(self, name), 1)
-        for name in ("noise_std", "curvature", "mixture_alpha"):
-            check_real(name, getattr(self, name), 0.0)
-        if self.mixture_alpha == 0:
-            raise ConfigError("mixture_alpha must be > 0")
+        check_real("noise_std", self.noise_std)
 
 
 class BasisFunction:
@@ -402,10 +381,10 @@ class BasisFunction:
     """
 
     def __init__(self, rng: np.random.Generator, n_features: int, hidden: int,
-                 probe: np.ndarray, curvature: float = 3.0):
+                 probe: np.ndarray):
         direction = rng.standard_normal(n_features)
         direction /= np.linalg.norm(direction)
-        gains = rng.uniform(curvature, curvature + 4.0, hidden) \
+        gains = rng.uniform(CURVATURE, CURVATURE + 4.0, hidden) \
             * rng.choice([-1.0, 1.0], hidden)
         self.w1 = np.outer(direction, gains)
         self.b1 = rng.uniform(-2.5, 2.5, hidden)
@@ -439,10 +418,11 @@ class SynthSuite:
             out += w * g(x)
         return out
 
-    def oracle_mse(self, bundle: DatasetBundle, split_name: str = "test") -> float:
+    def oracle_mse(self, bundle: DatasetBundle) -> float:
+        """The ground-truth mixture's raw-unit MSE on the test split."""
         if bundle.splits is None:
             raise UsageError("split the bundle before asking for the oracle MSE")
-        idx = bundle.splits[split_name]
+        idx = bundle.splits["test"]
         pred = self.oracle_predictions(bundle, bundle.x_num[idx])
         return float(np.mean((pred - bundle.y[idx]) ** 2))
 
@@ -451,8 +431,7 @@ def _synth_bundle(name: str, suite_spec: SynthSuiteSpec, basis: list[BasisFuncti
                   rows: int, rng: np.random.Generator) -> DatasetBundle:
     k = suite_spec.n_features
     x = rng.standard_normal((rows, k))
-    w = rng.dirichlet(np.full(suite_spec.n_basis_functions,
-                              suite_spec.mixture_alpha))
+    w = rng.dirichlet(np.full(suite_spec.n_basis_functions, MIXTURE_ALPHA))
     y = np.zeros(rows)
     for wp, g in zip(w, basis):
         y += wp * g(x)
@@ -468,8 +447,7 @@ def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
     probe_key, basis_key = np.random.SeedSequence(spec.seed).spawn(2)
     probe = np.random.default_rng(probe_key).standard_normal((4096, spec.n_features))
     basis_rng = np.random.default_rng(basis_key)
-    return [BasisFunction(basis_rng, spec.n_features, spec.hidden, probe,
-                          spec.curvature)
+    return [BasisFunction(basis_rng, spec.n_features, spec.hidden, probe)
             for _ in range(spec.n_basis_functions)]
 
 

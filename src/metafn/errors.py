@@ -33,12 +33,11 @@ def check_int(key: str, value, minimum: int) -> None:
         raise ConfigError(f"{key} must be an integer >= {minimum}, not {value!r}")
 
 
-def check_real(key: str, value, low: float, high: float = math.inf) -> None:
-    """Raise ``ConfigError`` naming ``key`` unless ``value`` is a finite number in [low, high]."""
+def check_real(key: str, value) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is a finite number >= 0."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or not low <= value <= high):
-        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ConfigError(f"{key} must be a finite number {bounds}, not {value!r}")
+            or not math.isfinite(value) or value < 0):
+        raise ConfigError(f"{key} must be a finite number >= 0, not {value!r}")
 
 
 def check_choice(key: str, value, choices: tuple) -> None:

@@ -162,11 +162,10 @@ def rank_methods(table: ScoreTable) -> RankResult:
     return RankResult(list(table.methods), ranks, mean, std)
 
 
-def win_tie_loss(table: ScoreTable, method_a: str, method_b: str,
-                 decimals: int = TIE_DECIMALS) -> tuple[int, int, int]:
-    """Pairwise comparison; scores equal after rounding count as ties."""
-    a = np.round(table.column(method_a), decimals)
-    b = np.round(table.column(method_b), decimals)
+def win_tie_loss(table: ScoreTable, method_a: str, method_b: str) -> tuple[int, int, int]:
+    """Pairwise comparison; scores equal after rounding to ``TIE_DECIMALS`` count as ties."""
+    a = np.round(table.column(method_a), TIE_DECIMALS)
+    b = np.round(table.column(method_b), TIE_DECIMALS)
     wins = ties = losses = 0
     for hb, x, y in zip(table.higher_better, a, b):
         if x == y:
@@ -186,10 +185,9 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path)
     records = []
     with no_grad():
         for name in dataset_names:
-            parts = assembly._parts(name)
-            context = parts.context.data if parts.context is not None else None
-            for layer_idx, layer in assembly.calinear_layers():
-                coeffs = assembly._ffn_coefficients(parts, layer_idx, layer).data
+            layers = assembly.coefficients(name)      # raises for an unattached name
+            context = assembly.datasets[name].context
+            for layer_idx, coeffs in enumerate(c.data for c in layers):
                 if np.any(coeffs <= 0) or np.max(np.abs(coeffs.sum(axis=1) - 1)) > 1e-9:
                     raise DataError("coefficient rows left the simplex")
                 for token in range(coeffs.shape[0]):
@@ -197,7 +195,7 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path)
                         "dataset": name,
                         "token": token,
                         "layer": layer_idx,
-                        "context": float(context[token]) if context is not None else None,
+                        "context": float(context.data[token]) if context is not None else None,
                         "coefficients": [float(c) for c in coeffs[token]],
                     })
     doc = {"phase": "pretrained", "records": records}

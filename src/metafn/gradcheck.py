@@ -1,9 +1,9 @@
 """Finite-difference verification of reverse-mode gradients.
 
 For each parameter the analytic gradient (one backward pass) is compared
-against central differences.  The reported error is the normalized max
-deviation  ``max|a - n| / max(1e-12, max|a| + max|n|)``; a parameter
-passes when that is at or below the tolerance.
+against central differences of step ``STEP``.  The reported error is the
+normalized max deviation  ``max|a - n| / max(1e-12, max|a| + max|n|)``; a
+parameter passes when that is at or below the tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 
 from .nn import Parameter
 from .tensor import Tensor, no_grad
+
+STEP = 1e-5
 
 
 @dataclass
@@ -28,7 +30,6 @@ class GradCheckEntry:
 @dataclass
 class GradCheckReport:
     tol: float
-    step: float
     entries: list[GradCheckEntry] = field(default_factory=list)
 
     @property
@@ -40,7 +41,7 @@ class GradCheckReport:
         return [e.name for e in self.entries if not e.passed]
 
     def summary(self) -> str:
-        lines = [f"gradient check: step={self.step:g} tol={self.tol:g}"]
+        lines = [f"gradient check: step={STEP:g} tol={self.tol:g}"]
         for e in self.entries:
             status = "ok  " if e.passed else "FAIL"
             lines.append(f"  [{status}] {e.name}: rel={e.rel_error:.3e}")
@@ -55,14 +56,12 @@ def _scalar(f: Callable[[], Tensor]) -> float:
 
 
 def check_gradients(f: Callable[[], Tensor], params: Sequence[Parameter],
-                    step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+                    tol: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``f`` must be deterministic and rebuild its graph from the parameters'
     current values on every call.
     """
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
     params = list(params)
     for p in params:
         p.zero_grad()
@@ -73,7 +72,7 @@ def check_gradients(f: Callable[[], Tensor], params: Sequence[Parameter],
     analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for p in params}
 
-    report = GradCheckReport(tol=tol, step=step)
+    report = GradCheckReport(tol=tol)
     for p in params:
         if not p.data.flags["C_CONTIGUOUS"]:
             p.data = np.ascontiguousarray(p.data)
@@ -83,12 +82,12 @@ def check_gradients(f: Callable[[], Tensor], params: Sequence[Parameter],
         with no_grad():
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + STEP
                 hi = _scalar(f)
-                flat[i] = orig - step
+                flat[i] = orig - STEP
                 lo = _scalar(f)
                 flat[i] = orig
-                num_flat[i] = (hi - lo) / (2.0 * step)
+                num_flat[i] = (hi - lo) / (2.0 * STEP)
         a = analytic[p.name]
         diff = float(np.max(np.abs(a - numeric))) if a.size else 0.0
         scale = max(1e-12, float(np.max(np.abs(a))) + float(np.max(np.abs(numeric)))) \

@@ -283,13 +283,9 @@ class ModelAssembly:
     def shared_parameters(self) -> dict[str, Parameter]:
         return {n: p for n, p in self._registry.items() if not n.startswith("datasets.")}
 
-    def calinear_layers(self):
-        """All mixture layers in block order: (layer_index, layer)."""
-        out = []
-        for b in self.blocks:
-            out.append((2 * b.idx, b.lin1))
-            out.append((2 * b.idx + 1, b.lin2))
-        return out
+    def calinear_layers(self) -> list[CaLinear]:
+        """All mixture layers in block order; a layer's index is its position."""
+        return [lin for b in self.blocks for lin in (b.lin1, b.lin2)]
 
     # -- datasets ------------------------------------------------------------
 
@@ -311,7 +307,7 @@ class ModelAssembly:
             parts.coef_logits = [
                 Parameter(np.zeros((self._coefficient_rows(sig, idx), cfg.n_basis)),
                           f"{prefix}.coeffs.{idx}")
-                for idx, _ in self.calinear_layers()]
+                for idx in range(2 * cfg.n_blocks)]
         for p in parts.parameters():
             self._register(p)
         self.datasets[sig.name] = parts
@@ -330,18 +326,22 @@ class ModelAssembly:
         except in the last block, where only [CLS] goes on to the head."""
         return 1 if layer_idx >= 2 * self.config.n_blocks - 2 else sig.n_tokens
 
-    def _ffn_coefficients(self, parts: DatasetParts, layer_idx: int, layer) -> Tensor:
-        """Coefficient rows [rows, M] of one layer, one per token it reads."""
+    def coefficients(self, dataset: str) -> list[Tensor]:
+        """Each CaLinear layer's coefficient rows [rows, M], in layer order,
+        one row per token the layer reads."""
+        parts = self._parts(dataset)
         if self.config.mode == "direct":
-            return T.softmax(parts.coef_logits[layer_idx])
-        rows = self._coefficient_rows(parts.signature, layer_idx)
-        context = parts.context
-        return layer.coefficients(context if context.size == rows else context[:rows])
+            return [T.softmax(logits) for logits in parts.coef_logits]
+        context, sig = parts.context, parts.signature
+        rows = [self._coefficient_rows(sig, i) for i in range(2 * self.config.n_blocks)]
+        return [layer.coefficients(context if context.size == r else context[:r])
+                for layer, r in zip(self.calinear_layers(), rows)]
 
     def forward(self, dataset: str, x_num: np.ndarray, x_cat: np.ndarray) -> Tensor:
         """Predict one logit (binary) or one value (regression) per row: [B, 1]."""
         parts = self._parts(dataset)
         cfg = self.config
+        coeffs = self.coefficients(dataset)
         h = parts.tokenizer.forward(x_num, x_cat)
         for block in self.blocks:
             a_in = h if block.norm1 is None else layer_norm(h, *block.norm1)
@@ -352,9 +352,8 @@ class ModelAssembly:
             else:
                 h = h + self_attention(a_in, block.attn, cfg.n_heads)
             f_in = layer_norm(h, *block.norm2)
-            c1 = self._ffn_coefficients(parts, 2 * block.idx, block.lin1)
-            c2 = self._ffn_coefficients(parts, 2 * block.idx + 1, block.lin2)
-            h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in, c1, c2)
+            h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in,
+                                         *coeffs[2 * block.idx:2 * block.idx + 2])
         return parts.head.forward(h[:, 0, :])
 
     # -- partitioning ----------------------------------------------------------

@@ -1,5 +1,8 @@
 """AdamW with decoupled weight decay, and the warmup/decay schedule.
 
+Every phase trains with the fixed recipe of the constants below; only the
+learning rate is a setting (``PhaseSpec.base_lr``).
+
 ``AdamW`` keeps its state flat.  At construction it lays every parameter of
 every group end to end in one float64 vector: group by group, and within a
 group the decayed parameters first and the ``weight_decay_exempt`` ones
@@ -26,6 +29,10 @@ import numpy as np
 from .errors import MetafnError, UsageError
 from .nn import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # moment decay rates; offset of the root
+WEIGHT_DECAY = 1e-5         # decoupled decay of every non-exempt parameter
+WARMUP_FRAC = 0.2           # share of the schedule spent warming up
+
 
 class AdamW:
     """Adam with decoupled weight decay over one flat state vector.
@@ -37,14 +44,11 @@ class AdamW:
     correction for the whole instance.
     """
 
-    def __init__(self, groups, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-5):
+    def __init__(self, groups, lr: float = 1e-4, weight_decay: float = WEIGHT_DECAY):
         if groups and isinstance(groups[0], Parameter):
             groups = [{"params": list(groups), "lr": lr}]
         self.groups = [{"params": list(g["params"]), "lr": float(g.get("lr", lr))}
                        for g in groups]
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         # flat layout: per group [decayed ... | exempt ...]
@@ -100,16 +104,15 @@ class AdamW:
             w = np.concatenate([p.data.ravel() for p in params])
 
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         m, s, tmp = self._m, self._s, self._tmp
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
         m += tmp
-        s *= b2
+        s *= BETA2
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
+        tmp *= 1.0 - BETA2
         s += tmp
         # step = lr * (m / c1) / (sqrt(s / c2) + eps); g is free again from here
         np.divide(m, c1, out=tmp)
@@ -117,7 +120,7 @@ class AdamW:
             tmp[lo:hi] *= group["lr"]
         np.divide(s, c2, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += EPS
         tmp /= g
 
         new = np.empty_like(w)
@@ -141,15 +144,14 @@ class AdamW:
                     raise MetafnError(f"non-finite gradient for parameter {p.name!r}")
 
 
-def lr_at(step: int, total_steps: int, base_lr: float,
-          warmup_frac: float = 0.2) -> float:
-    """Linear warmup to ``base_lr`` over the first ``warmup_frac`` of steps,
+def lr_at(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup to ``base_lr`` over the first ``WARMUP_FRAC`` of steps,
     then linear decay to zero at ``total_steps``."""
     if total_steps <= 0:
         raise UsageError("total_steps must be positive")
     if not 0 <= step <= total_steps:
         raise UsageError(f"step {step} outside [0, {total_steps}]")
-    warm = warmup_frac * total_steps
+    warm = WARMUP_FRAC * total_steps
     if step <= warm:
-        return base_lr * (step / warm) if warm > 0 else base_lr
+        return base_lr * (step / warm)
     return base_lr * (total_steps - step) / (total_steps - warm)

@@ -17,7 +17,8 @@ for the state it retains:
   the calibration result;
 * last (pretrain): the state at the latest log point is kept.
 
-A non-finite loss stops the loop and restores the retained state.
+A non-finite loss stops the loop.  The retained state is restored when
+the loop ends, also when a step raises.
 
 While the loop runs only the parameters the phase trains have
 ``requires_grad`` set, so no other parameter takes a gradient; the flags
@@ -55,17 +56,13 @@ class PhaseSpec:
     epochs: int
     batch_cap: int = 1024
     base_lr: float = 1e-4
-    weight_decay: float = 1e-5
-    warmup_frac: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         check_choice("phase", self.phase, PHASES)
         check_int("epochs", self.epochs, 0)
         check_int("batch_cap", self.batch_cap, 1)
-        check_real("base_lr", self.base_lr, 0.0)
-        check_real("weight_decay", self.weight_decay, 0.0)
-        check_real("warmup_frac", self.warmup_frac, 0.0, 1.0)
+        check_real("base_lr", self.base_lr)
         check_int("seed", self.seed, 0)
 
 
@@ -158,8 +155,7 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     valid = {b.schema.name: D.matrices(b, "valid") for b in bundles}
     params = {**scheduled, **constant}
     opt = AdamW([{"params": list(scheduled.values()), "lr": 0.0},
-                 {"params": list(constant.values()), "lr": spec.base_lr}],
-                weight_decay=spec.weight_decay)
+                 {"params": list(constant.values()), "lr": spec.base_lr}])
     tasks = {b.schema.name: b.schema.task for b in bundles}
     kept = before = _snapshot(params)
     kept_epoch, kept_metric, higher_better = 0, float("nan"), False
@@ -173,43 +169,45 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     lr_ds = 0.0
     t0 = time.perf_counter()
     with _trains_only(assembly, params):
-        for step, (name, idx) in enumerate(batches, start=1):
-            x_num, x_cat, y = train[name]
-            lr_ds = lr_at(step, total, spec.base_lr, spec.warmup_frac)
-            opt.groups[0]["lr"] = lr_ds
-            pred = assembly.forward(name, x_num[idx], x_cat[idx])
-            loss = compute_loss(pred, y[idx], tasks[name])
-            value = loss.item()
-            if not np.isfinite(value):
-                log.diverged = True
-                break
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
-            losses.append(value)
-            if step % log_every and step != total:
-                continue
+        try:
+            for step, (name, idx) in enumerate(batches, start=1):
+                x_num, x_cat, y = train[name]
+                lr_ds = lr_at(step, total, spec.base_lr)
+                opt.groups[0]["lr"] = lr_ds
+                pred = assembly.forward(name, x_num[idx], x_cat[idx])
+                loss = compute_loss(pred, y[idx], tasks[name])
+                value = loss.item()
+                if not np.isfinite(value):
+                    log.diverged = True
+                    break
+                loss.backward()
+                opt.step()
+                opt.zero_grad()
+                losses.append(value)
+                if step % log_every and step != total:
+                    continue
 
-            scores = [E.score(assembly, b, "valid", matrices=valid[b.schema.name])
-                      for b in bundles]
-            if keep_best:
-                metric, metric_name = scores[0].value, scores[0].metric
-            else:
-                metric = float(np.mean([s.value for s in scores]))
-                metric_name = "mean_valid"
-            snap = _snapshot(params)
-            epoch = len(log.entries) + 1
-            log.entries.append(LogEntry(
-                epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
-                valid_metric=metric, metric_name=metric_name,
-                lr_dataset=lr_ds, lr_shared=spec.base_lr,
-                wall_time=time.perf_counter() - t0,
-                changed_params=_changed(before, snap)))
-            before, period_start = snap, len(losses)
-            if (not keep_best or (metric > kept_metric if higher_better
-                                  else metric < kept_metric)):
-                kept, kept_epoch, kept_metric = snap, epoch, metric
-    _restore(params, kept)
+                scores = [E.score(assembly, b, "valid", matrices=valid[b.schema.name])
+                          for b in bundles]
+                if keep_best:
+                    metric, metric_name = scores[0].value, scores[0].metric
+                else:
+                    metric = float(np.mean([s.value for s in scores]))
+                    metric_name = "mean_valid"
+                snap = _snapshot(params)
+                epoch = len(log.entries) + 1
+                log.entries.append(LogEntry(
+                    epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
+                    valid_metric=metric, metric_name=metric_name,
+                    lr_dataset=lr_ds, lr_shared=spec.base_lr,
+                    wall_time=time.perf_counter() - t0,
+                    changed_params=_changed(before, snap)))
+                before, period_start = snap, len(losses)
+                if (not keep_best or (metric > kept_metric if higher_better
+                                      else metric < kept_metric)):
+                    kept, kept_epoch, kept_metric = snap, epoch, metric
+        finally:
+            _restore(params, kept)
     log.best_epoch, log.best_metric = kept_epoch, kept_metric
     log.step_losses = losses
     return log
@@ -241,6 +239,11 @@ def _sampled_batches(sizes: dict[str, int], batch_cap: int, total: int,
         yield name, orders[name][lo:pos[name]]
 
 
+def _check_phase(spec: PhaseSpec, phase: str) -> None:
+    if spec.phase != phase:
+        raise UsageError(f"the {phase} phase was given a {spec.phase!r} spec")
+
+
 def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
              scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
     """Epochs over one dataset, logged per epoch, best state retained."""
@@ -257,6 +260,7 @@ def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
 def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
               spec: PhaseSpec) -> TrainLog:
     """Train {tokenizer, head, context} plus shared norms; freeze the rest."""
+    _check_phase(spec, "calibrate")
     if assembly.provenance is None:
         raise UsageError("calibration needs a pretrained (or loaded) shared body")
     name = assembly.attach_dataset(bundle.schema.signature())
@@ -270,6 +274,7 @@ def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
 def refine(assembly: ModelAssembly, bundle: D.DatasetBundle,
            spec: PhaseSpec) -> TrainLog:
     """Short all-parameter fine-tuning after calibration."""
+    _check_phase(spec, "refine")
     name = bundle.schema.name
     if assembly.dataset_phase.get(name) != "calibrate":
         raise UsageError(f"refinement requires calibration of {name!r} first")
@@ -283,6 +288,7 @@ def refine(assembly: ModelAssembly, bundle: D.DatasetBundle,
 def train_from_scratch(assembly: ModelAssembly, bundle: D.DatasetBundle,
                        spec: PhaseSpec) -> TrainLog:
     """Supervised baseline: all parameters trainable on one dataset."""
+    _check_phase(spec, "scratch")
     name = bundle.schema.name
     if name not in assembly.datasets:
         assembly.attach_dataset(bundle.schema.signature())
@@ -303,6 +309,7 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     sum_i ceil(rows_i / batch_cap) steps) and after the last step; each entry
     averages the losses of the steps since the entry before.
     """
+    _check_phase(spec, "pretrain")
     if not bundles:
         raise UsageError("pretraining needs at least one dataset")
     for b in bundles:

@@ -113,7 +113,7 @@ def run_transfer_benchmark(suite: SynthSuite, cfg: ModelConfig,
         asm_s, _ = scratch_baseline(cfg, bundle, scratch_spec, model_seed)
         s_t = E.score(asm_t, bundle, "test")
         s_s = E.score(asm_s, bundle, "test")
-        oracle = suite.oracle_mse(bundle, "test") if raw.true_mixture is not None else None
+        oracle = suite.oracle_mse(bundle) if raw.true_mixture is not None else None
         report.tasks.append(TaskComparison(
             task=bundle.schema.name, metric=s_t.metric,
             higher_better=s_t.higher_better,

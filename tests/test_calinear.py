@@ -143,7 +143,7 @@ def test_gradients_reach_all_inputs():
         c = layer.coefficients(v)
         return T.tsum(layer.forward(Tensor(z), c) * w)
 
-    report = check_gradients(loss, layer.parameters() + [v], step=1e-5, tol=1e-4)
+    report = check_gradients(loss, layer.parameters() + [v], tol=1e-4)
     assert report.passed, report.summary()
     # calibration signal flows: dv is generically nonzero
     v.zero_grad()
@@ -211,10 +211,8 @@ def tiny_assembly(mode="direct", n_blocks=2, n_features=4, seed=29):
 def test_direct_variant_zero_logits_uniform():
     # direct mode starts every layer's logits at zero: uniform coefficients
     asm = tiny_assembly()
-    parts = asm.datasets["t"]
-    for idx, layer in asm.calinear_layers():
-        c = asm._ffn_coefficients(parts, idx, layer).data
-        np.testing.assert_allclose(c, np.full((5 if idx < 2 else 1, 4), 0.25), atol=0)
+    for idx, c in enumerate(asm.coefficients("t")):
+        np.testing.assert_allclose(c.data, np.full((5 if idx < 2 else 1, 4), 0.25), atol=0)
 
 
 def test_direct_variant_same_coefficients_same_output():
@@ -223,9 +221,8 @@ def test_direct_variant_same_coefficients_same_output():
     mlp, direct = tiny_assembly("mlp", seed=30), tiny_assembly("direct", seed=30)
     rng = np.random.default_rng(31)
     mlp.datasets["t"].context.data = rng.standard_normal(5)
-    for idx, layer in mlp.calinear_layers():
-        c = mlp._ffn_coefficients(mlp.datasets["t"], idx, layer).data
-        direct.datasets["t"].coef_logits[idx].data = np.log(c)
+    for idx, c in enumerate(mlp.coefficients("t")):
+        direct.datasets["t"].coef_logits[idx].data = np.log(c.data)
     x_num, x_cat = rng.standard_normal((3, 4)), np.empty((3, 0), dtype=np.int64)
     with no_grad():
         want = mlp.forward("t", x_num, x_cat).data

@@ -11,6 +11,7 @@ from metafn.cli import main
 from metafn.config import DEFAULTS, RunConfig, parse_override
 from metafn.errors import ConfigError
 from metafn.model import ModelConfig
+from metafn.optim import BETA1, BETA2, EPS, WARMUP_FRAC, WEIGHT_DECAY
 from metafn.training import PhaseSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -111,9 +112,12 @@ def test_invalid_setting_name_exits_2(tmp_path):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    # a made-up key, then the key names before they became the spec field names
+    # a made-up key, the key names before they became the spec field names,
+    # and the keys of settings that became constants
     for override in ("model.bogus=1", "model.blocks=2", "model.heads=2", "model.basis=2",
-                     "phases.pretrain.lr=0.01"):
+                     "phases.pretrain.lr=0.01", "phases.pretrain.weight_decay=0.1",
+                     "phases.calibrate.warmup_frac=0.5", "data.synth.curvature=2",
+                     "data.synth.mixture_alpha=1"):
         assert main(["pretrain", "--config", str(TINY), "--set", override]) == 2
         key = override.split("=")[0]
         assert f"unknown configuration key {key!r}" in capsys.readouterr().err
@@ -208,8 +212,9 @@ def test_defaults_match_reference_values():
     m = cfg.model_config()
     assert (m.d, m.n_blocks, m.n_heads, m.n_basis) == (192, 4, 8, 4)
     pre = cfg.phase_spec("pretrain")
-    assert pre.base_lr == 1e-4 and pre.weight_decay == 1e-5
-    assert pre.batch_cap == 1024 and pre.warmup_frac == 0.2
+    assert pre.base_lr == 1e-4 and pre.batch_cap == 1024
+    assert (WEIGHT_DECAY, WARMUP_FRAC, BETA1, BETA2, EPS) == (1e-5, 0.2, 0.9, 0.999, 1e-8)
+    assert (D.CURVATURE, D.MIXTURE_ALPHA) == (3.0, 0.3)
     assert cfg.phase_spec("calibrate", "T-full").epochs == 240
     assert cfg.phase_spec("calibrate", "T-20").epochs == 40
     assert cfg.phase_spec("refine").epochs == 5

@@ -151,8 +151,10 @@ def test_apply_setting_subsets_vary_with_seed():
 
 
 def test_unknown_setting_is_usage_error():
+    b = toy_bundle(100, seed=6)
+    D.split(b, seed=0)
     with pytest.raises(UsageError, match="T-99"):
-        D.get_setting("T-99")
+        D.apply_setting(b, "T-99", seed=0)
 
 
 def test_quantile_plotting_positions():
@@ -254,7 +256,7 @@ def test_synth_oracle_attains_noise_floor():
     suite = D.generate_synth_suite(spec)
     b = suite.pretrain[0]
     D.split(b, seed=0)
-    mse = suite.oracle_mse(b, "test")
+    mse = suite.oracle_mse(b)
     assert 0.8 * 0.01 <= mse <= 1.2 * 0.01
     # zero noise: the oracle is exact
     spec0 = D.SynthSuiteSpec(seed=13, n_pretrain=2, rows_per_dataset=100,
@@ -262,7 +264,7 @@ def test_synth_oracle_attains_noise_floor():
     s0 = D.generate_synth_suite(spec0)
     b0 = s0.pretrain[0]
     D.split(b0, seed=0)
-    assert s0.oracle_mse(b0, "test") < 1e-24
+    assert s0.oracle_mse(b0) < 1e-24
 
 
 def test_synth_mixtures_on_simplex():
@@ -326,8 +328,9 @@ def exported_suite_json(tmp_path):
     lambda meta: json.dumps({"spec": meta["spec"]}),
     lambda meta: json.dumps({**meta, "mixtures": {"synth_pre_00": ["x"]}}),
     lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "seed": "seven"}}),
+    lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "curvature": 3.0}}),
 ], ids=["not-json", "unknown-spec-key", "missing-spec", "missing-mixtures", "bad-mixture",
-        "mistyped-spec-seed"])
+        "mistyped-spec-seed", "removed-spec-key"])
 def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
     path = exported_suite_json(tmp_path)
     path.write_text(edit(json.loads(path.read_text())))

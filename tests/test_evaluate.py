@@ -155,10 +155,10 @@ def test_win_tie_loss_examples():
 
 
 def test_win_tie_loss_rounding_rule():
-    # differs only in the 4th decimal -> tie at 3 decimals
-    t = make_table([[0.123449, 0.123451]], higher_better=True, methods=["A", "B"])
-    assert E.win_tie_loss(t, "A", "B") == (0, 1, 0)
-    assert E.win_tie_loss(t, "A", "B", decimals=6) == (0, 0, 1)
+    # differs only in the 4th decimal -> tie at 3 decimals; in the 3rd -> a loss
+    t = make_table([[0.123449, 0.123451], [0.1234, 0.1244]], higher_better=True,
+                   methods=["A", "B"])
+    assert E.win_tie_loss(t, "A", "B") == (0, 1, 1)
 
 
 def test_win_tie_loss_symmetry_random():

@@ -101,7 +101,7 @@ def test_attention_gradients_match_finite_differences():
         return T.tsum(nn.self_attention(Tensor(x), p, heads=2) * w)
 
     from metafn.gradcheck import check_gradients
-    report = check_gradients(loss_fn, p.all(), step=1e-5, tol=1e-4)
+    report = check_gradients(loss_fn, p.all(), tol=1e-4)
     assert report.passed, report.summary()
 
 

@@ -227,7 +227,7 @@ def test_matches_reference_adamw_trajectory():
         w = w - lr * (m / (1 - b1 ** t)) / (np.sqrt(s / (1 - b2 ** t)) + eps)
 
     p = Parameter(w0.copy(), "w")
-    opt = AdamW([p], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    opt = AdamW([p], lr=lr, weight_decay=wd)
     for g in grads:
         p.grad = g.copy()
         opt.step()

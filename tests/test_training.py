@@ -10,7 +10,7 @@ from metafn.checkpoint import (Checkpoint, assembly_from_checkpoint, load_shared
                                save_checkpoint)
 from metafn.errors import UsageError
 from metafn.model import ModelAssembly, ModelConfig
-from metafn.optim import lr_at
+from metafn.optim import WARMUP_FRAC
 
 CFG = ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12, cal_hidden=4)
 
@@ -296,10 +296,11 @@ def test_lr_groups_in_supervised_loop(suite):
     spec = TR.PhaseSpec("calibrate", epochs=4, seed=13)
     log = TR.calibrate(asm, bundle, spec)
     total = 4  # one batch per epoch at T-100
+    warm = WARMUP_FRAC * total
     for e in log.entries:
         assert e.lr_shared == spec.base_lr
-        assert e.lr_dataset == pytest.approx(
-            lr_at(e.epoch, total, spec.base_lr, spec.warmup_frac))
+        share = e.epoch / warm if e.epoch <= warm else (total - e.epoch) / (total - warm)
+        assert e.lr_dataset == pytest.approx(spec.base_lr * share)
 
 
 def pretrain_assembly(bundles):
@@ -454,6 +455,51 @@ def test_phase_restores_requires_grad_when_it_raises(suite, monkeypatch):
         TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=2, seed=4))
     assert seen == [set(asm.partition_parameters(bundle.schema.name).calibratable)]
     assert all(p.requires_grad for p in asm.parameters().values())
+
+
+def test_phase_restores_the_retained_state_when_it_raises(suite, monkeypatch):
+    # the first step updates the parameters, then fails: the state retained
+    # so far, the one before any step, must be back in place
+    _, shared, _ = pretrained(suite, epochs=2, seed=4)
+    bundle = D.prepare(suite.heldout[0], split_seed=4, setting="T-100")
+    asm = ModelAssembly(CFG, seed=4)
+    load_shared(asm, shared)
+    states = []
+    real_step = TR.AdamW.step
+
+    def failing(opt):
+        states.append({n: p.data.copy() for n, p in asm.parameters().items()})
+        real_step(opt)
+        states.append({n: p.data.copy() for n, p in asm.parameters().items()})
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(TR.AdamW, "step", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=2, seed=4))
+    initial, stepped = states
+    assert any(not np.array_equal(stepped[n], initial[n]) for n in initial)
+    for n, p in asm.parameters().items():
+        np.testing.assert_array_equal(p.data, initial[n], err_msg=n)
+
+
+@pytest.mark.parametrize("function,phase,given", [
+    ("calibrate", "calibrate", "refine"),
+    ("refine", "refine", "calibrate"),
+    ("train_from_scratch", "scratch", "calibrate"),
+    ("pretrain", "pretrain", "scratch"),
+])
+def test_phase_function_rejects_another_phases_spec(suite, function, phase, given):
+    bundle = D.prepare(suite.pretrain[0], split_seed=0)
+    asm = ModelAssembly(CFG, seed=0)
+    asm.attach_dataset(bundle.schema.signature())
+    asm.provenance = "pretrain"
+    asm.dataset_phase[bundle.schema.name] = "calibrate"
+    before = {n: p.data.copy() for n, p in asm.parameters().items()}
+    target = [bundle] if function == "pretrain" else bundle
+    with pytest.raises(UsageError, match=f"{phase}.*{given}"):
+        getattr(TR, function)(asm, target, TR.PhaseSpec(given, epochs=1))
+    assert asm.dataset_phase == {bundle.schema.name: "calibrate"}
+    assert all(np.array_equal(p.data, before[n]) for n, p in asm.parameters().items())
 
 
 def test_in_memory_refine_matches_checkpoint_round_trip(suite, tmp_path):
