@@ -5,7 +5,7 @@ Little-endian layout:
     magic   8 bytes  "MFNCKPT1"
     version u32
     hlen    u32      length of the UTF-8 JSON header
-    header  bytes    {"model_config", "datasets", "phase"}
+    header  bytes    {"model_config", "datasets", "phase"} and no other key
     count   u32      number of parameter records
     record  repeated:
         name_len u16, name utf-8,
@@ -112,6 +112,9 @@ class Checkpoint:
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise CheckpointError(f"{path}: header lacks {missing}")
+        unknown = sorted(set(header) - set(_HEADER_KEYS))
+        if unknown:
+            raise CheckpointError(f"{path}: unknown header key {unknown[0]!r}")
         try:
             config = ModelConfig(**header["model_config"])
             datasets = {k: DatasetSignature.from_dict(v)

@@ -407,15 +407,14 @@ class SynthSuite:
     pretrain: list[DatasetBundle]
     heldout: list[DatasetBundle]
 
-    def oracle_predictions(self, bundle: DatasetBundle,
-                           x_raw: np.ndarray | None = None) -> np.ndarray:
-        """Ground-truth mixture prediction for a bundle generated by this suite."""
+    def oracle_predictions(self, bundle: DatasetBundle, x_raw: np.ndarray) -> np.ndarray:
+        """Ground-truth mixture prediction on raw numeric rows ``x_raw`` of a
+        bundle generated by this suite."""
         if bundle.true_mixture is None:
             raise UsageError(f"bundle {bundle.schema.name!r} has no recorded mixture")
-        x = bundle.x_num if x_raw is None else x_raw
-        out = np.zeros(x.shape[0])
+        out = np.zeros(x_raw.shape[0])
         for w, g in zip(bundle.true_mixture, self.basis):
-            out += w * g(x)
+            out += w * g(x_raw)
         return out
 
     def oracle_mse(self, bundle: DatasetBundle) -> float:

@@ -47,14 +47,12 @@ def predict_rows(config: ModelConfig, n_tokens: int) -> int:
 
 
 def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
-                matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                ) -> np.ndarray:
+                matrices: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Raw model outputs for one split (logits or standardized values).
 
-    ``matrices`` is the split's ``data.matrices`` result when the caller
-    already holds it; otherwise the split is transformed here.
+    ``matrices`` is the split's ``data.matrices`` result.
     """
-    x_num, x_cat, _ = matrices if matrices is not None else D.matrices(bundle, split_name)
+    x_num, x_cat, _ = matrices
     n = x_num.shape[0]
     if n == 0:
         raise UsageError(f"split {split_name!r} of {bundle.schema.name!r} is empty")
@@ -80,7 +78,8 @@ def score(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
           matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Score:
     """Accuracy for binary tasks, standardized MSE for regression.
 
-    ``matrices`` is as in ``predictions``.
+    ``matrices`` is the split's ``data.matrices`` result when the caller
+    already holds it; otherwise the split is transformed here.
     """
     if split_name not in ("valid", "test"):
         raise UsageError("score evaluates the 'valid' or 'test' split")

@@ -23,6 +23,9 @@ from .errors import ConfigError, DimensionError
 
 _GRAD_ENABLED = True
 LAYER_NORM_EPS = 1e-5
+# Widest softmax axis whose row max is taken column by column (see _softmax);
+# the column sweep and numpy's row reduce break even at 21-25 keys.
+SWEEP_MAX_KEYS = 16
 
 
 @contextlib.contextmanager
@@ -43,9 +46,14 @@ def _colsum(a2: np.ndarray) -> np.ndarray:
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, as one BLAS product with a ones vector."""
+    """Sums over the last axis, as one BLAS product with a ones vector.
+
+    The rows are made contiguous first: on a strided view the product would
+    run column-major and sum in another order, so the last bits would
+    depend on the memory layout.
+    """
     n = a.shape[-1]
-    return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1])
+    return (np.ascontiguousarray(a).reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1])
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -394,8 +402,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in a contiguous array."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in a contiguous array.
+
+    The row max is shifted out first so that ``exp`` cannot overflow.  On a
+    last axis of at most ``SWEEP_MAX_KEYS`` it is taken by a sweep of
+    ``np.maximum`` over the columns, one call per column, because numpy's
+    reduce pays a fixed cost per row, which dominates on many short rows;
+    wider rows use the reduce, which is the faster of the two there.  Both
+    give the same max.
+    """
+    n = scores.shape[-1]
+    if n <= SWEEP_MAX_KEYS:
+        top = scores[..., 0].copy()
+        for j in range(1, n):
+            np.maximum(top, scores[..., j], out=top)
+        scores -= top[..., None]
+    else:
+        scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= _rowsum(scores)[..., None]
     return scores
@@ -430,8 +453,10 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
     it and merges the heads into [B, queries, d].  The first ``queries``
     tokens query; every token is a key and a value.  The projections run as
     one packed GEMM, ``x @ [wq|wk|wv]``, or ``x @ [wk|wv]`` plus a product
-    of the querying tokens alone when fewer than S tokens query.  No
-    masking, no dropout.
+    of the querying tokens alone when fewer than S tokens query, and take
+    their biases as one packed row, ``[bq|-0|bv]`` or ``[-0|bv]``.  The
+    softmax takes each row's max as ``_softmax`` does.  No masking, no
+    dropout.
     """
     x, wq, bq, wk, wv, bv = (_to_const(t) for t in (x, wq, bq, wk, wv, bv))
     if x.ndim != 3:
@@ -453,9 +478,11 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
                               axis=1)
     n_proj = w_packed.shape[1] // d
     proj = x2 @ w_packed   # [B*S, n_proj*d]: [q|k|v] or [k|v]
-    proj[:, -d:] += bv.data
+    # one contiguous add of [bq | -0 | bv] or [-0 | bv]: x + (-0.0) is x for
+    # every x, signed zeros included, so the keys are left bit for bit
+    no_bias = np.full(d, -0.0)
+    proj += np.concatenate([bq.data, no_bias, bv.data] if every else [no_bias, bv.data])
     if every:
-        proj[:, :d] += bq.data
         xq2, q2 = x2, proj[:, :d]
     else:
         xq2 = x2.reshape(B, S, d)[:, :queries].reshape(B * queries, d)
@@ -482,7 +509,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Ten
                   out=g_proj[:, :, -1].transpose(0, 2, 1, 3))
         g_scores = _softmax_backward(g_weights, weights)
         g_scores *= scale
-        g_proj[:, :, -2] = (qh.transpose(0, 1, 3, 2) @ g_scores).transpose(0, 3, 1, 2)
+        np.matmul(g_scores.swapaxes(-1, -2), qh, out=g_proj[:, :, -2].transpose(0, 2, 1, 3))
         g_q = g_proj[:, :, 0] if every else np.empty((B, queries, heads, dh))
         np.matmul(g_scores, kh, out=g_q.transpose(0, 2, 1, 3))
         g_proj2 = g_proj.reshape(B * S, n_proj * d)

@@ -288,7 +288,8 @@ def test_suite_export_import_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.x_num, b.x_num)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.true_mixture, b.true_mixture)
-        assert suite.oracle_predictions(a).tobytes() == again.oracle_predictions(b).tobytes()
+        assert (suite.oracle_predictions(a, a.x_num).tobytes()
+                == again.oracle_predictions(b, b.x_num).tobytes())
 
 
 def test_prepare_pipeline_and_matrices():

@@ -57,7 +57,7 @@ def test_score_perfect_binary_predictor():
     asm = ModelAssembly(CFG, seed=4)
     asm.attach_dataset(bundle.schema.signature())
     # relabel the test split with the model's own decisions: a perfect predictor
-    preds = E.predictions(asm, bundle, "test")
+    preds = E.predictions(asm, bundle, "test", D.matrices(bundle, "test"))
     bundle.y[bundle.splits["test"]] = (preds > 0).astype(float)
     s = E.score(asm, bundle, "test")
     assert s.metric == "accuracy" and s.higher_better
@@ -68,7 +68,7 @@ def test_score_regression_exact_predictor():
     bundle = prepared_bundle(task="regression", n=200, seed=30, name="exact")
     asm = ModelAssembly(CFG, seed=31)
     asm.attach_dataset(bundle.schema.signature())
-    preds = E.predictions(asm, bundle, "test")
+    preds = E.predictions(asm, bundle, "test", D.matrices(bundle, "test"))
     # make the raw targets de-standardize to exactly the model's outputs
     idx = bundle.splits["test"]
     bundle.y[idx] = preds * bundle.target_std + bundle.target_mean
@@ -243,13 +243,14 @@ def test_predictions_in_several_blocks_equal_one_block_bitwise(monkeypatch):
     asm = ModelAssembly(ModelConfig(d=16, n_blocks=2, n_heads=2, n_basis=2, d_ffn=12,
                                     cal_hidden=4), seed=6)
     asm.attach_dataset(bundle.schema.signature())
-    whole = E.predictions(asm, bundle, "test")
+    mats = D.matrices(bundle, "test")
+    whole = E.predictions(asm, bundle, "test", mats)
     assert whole.shape == (45,)
     # a budget of 16 to 23 rows' score arrays: blocks of 16, 16 and 13 rows
     row_bytes = 2 * 4 * 4 * 8
     monkeypatch.setattr(E, "SCORE_BYTES", 24 * row_bytes - 1)
     assert E.predict_rows(asm.config, 4) == 16
-    np.testing.assert_array_equal(E.predictions(asm, bundle, "test"), whole)
+    np.testing.assert_array_equal(E.predictions(asm, bundle, "test", mats), whole)
     monkeypatch.undo()
 
     # the acceptance model on a 9-token table: blocks of 256, 256 and 88 rows
@@ -257,10 +258,11 @@ def test_predictions_in_several_blocks_equal_one_block_bitwise(monkeypatch):
     bundle = prepared_bundle(n=3000, seed=7, n_features=8)
     asm = ModelAssembly(ACCEPTANCE, seed=8)
     asm.attach_dataset(bundle.schema.signature())
-    blocks = E.predictions(asm, bundle, "test")
+    mats = D.matrices(bundle, "test")
+    blocks = E.predictions(asm, bundle, "test", mats)
     assert blocks.shape == (600,) and E.predict_rows(ACCEPTANCE, 9) == 256
     monkeypatch.setattr(E, "PREDICT_BATCH", 4096)
-    np.testing.assert_array_equal(E.predictions(asm, bundle, "test"), blocks)
+    np.testing.assert_array_equal(E.predictions(asm, bundle, "test", mats), blocks)
 
 
 def test_predictions_keep_a_small_working_set():

@@ -217,13 +217,15 @@ def ref_mixture_linear(z, coeffs, weight, bias):
     return out + T.linear(coeffs, bias)
 
 
-@pytest.mark.parametrize("queries", [6, 1, 2])
-def test_fused_attention_matches_the_composed_graph(queries):
+@pytest.mark.parametrize("tokens,queries", [(6, 6), (6, 1), (6, 2), (40, 40), (40, 1)],
+                         ids=["6", "1", "2", "40-tokens", "40-tokens-1-query"])
+def test_fused_attention_matches_the_composed_graph(tokens, queries):
     # outputs and projection gradients are bitwise equal; only the input
     # gradient, one packed product in place of three summed ones, rounds
-    # differently.  Head width 6 keeps the score scale off a power of two.
+    # differently.  Head width 6 keeps the score scale off a power of two;
+    # 40 keys are wider than SWEEP_MAX_KEYS.
     rng = np.random.default_rng(23)
-    arrays = attention_arrays(rng, 5, 6, 12)
+    arrays = attention_arrays(rng, 5, tokens, 12)
     mix = rng.standard_normal((5, queries, 12))
 
     def run(attention):
@@ -427,6 +429,30 @@ def test_softmax_examples():
     np.testing.assert_allclose(T.softmax(Tensor([5.0])).data, [1.0], atol=0)
     with pytest.raises(DimensionError):
         T.softmax(Tensor(np.zeros((3, 0))))
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape,spread", [
+    ((3, 4, 9, 9), 1.0), ((3, 4, 40), 1.0), ((9,), 1.0), ((3, 2, 9), 800.0), ((3, 2, 40), 800.0),
+], ids=["9-wide", "40-wide", "one-row", "extreme-9-wide", "extreme-40-wide"])
+def test_softmax_matches_the_plain_formula_bitwise(shape, spread):
+    # both ways of taking the row max, on either side of SWEEP_MAX_KEYS,
+    # give the max of the textbook formula
+    x = np.random.default_rng(11).standard_normal(shape) * spread
+    e = np.exp(x - x.max(-1, keepdims=True))
+    assert_bitwise(T.softmax(Tensor(x)).data, e / T._rowsum(e)[..., None])
+
+
+@pytest.mark.parametrize("keys", [9, 40])
+def test_rowsum_does_not_depend_on_memory_layout(keys):
+    # key-major scores seen as [B, H, q, S]: the view reshapes to rows
+    # without a copy, and a product over it would sum column by column
+    key_major = np.random.default_rng(12).standard_normal((keys, 16, 4, 9))
+    view = key_major.transpose(1, 2, 3, 0)
+    assert_bitwise(T._rowsum(view), T._rowsum(np.ascontiguousarray(view)))
 
 
 def test_tensor_rejects_non_finite():
