@@ -2,7 +2,9 @@
 """Cross-method comparison machinery on a hand-made score table.
 
 Shows performance ranking with average-tied ranks, pairwise win/tie/loss
-counts with the 3-decimal tie rule, and the assembled report files.
+counts with the 3-decimal tie rule, and the assembled report files.  Each
+row names its metric, and the metric fixes which way is better
+(``evaluate.HIGHER_BETTER``).
 """
 
 import tempfile
@@ -11,15 +13,16 @@ from pathlib import Path
 from metafn import evaluate as E
 
 table = E.ScoreTable(["mixture", "gbdt", "mlp"])
-# accuracy rows: higher is better
-table.add_row("churn|T-100", "accuracy", True,
+# accuracy rows: the metric says higher is better
+table.add_row("churn|T-100", "accuracy",
               {"mixture": 0.847, "gbdt": 0.799, "mlp": 0.781})
-table.add_row("fraud|T-100", "accuracy", True,
+table.add_row("fraud|T-100", "accuracy",
               {"mixture": 0.912, "gbdt": 0.912, "mlp": 0.875})
-# regression rows: standardized MSE, lower is better
-table.add_row("housing|T-100", "mse", False,
+# regression rows: standardized MSE, which says lower is better; the report
+# shows these cells negated, so higher is better in every row
+table.add_row("housing|T-100", "mse",
               {"mixture": 0.085, "gbdt": 0.104, "mlp": 0.131})
-table.add_row("demand|T-100", "mse", False,
+table.add_row("demand|T-100", "mse",
               {"mixture": 0.232, "gbdt": 0.217, "mlp": 0.2321})
 
 rank = E.rank_methods(table)

@@ -25,7 +25,7 @@ from . import training as TR
 from . import workflow as W
 from .checkpoint import Checkpoint, assembly_from_checkpoint, checkpoint_from_assembly
 from .config import RunConfig
-from .errors import ConfigError, MetafnError, UsageError
+from .errors import ConfigError, DataError, MetafnError, UsageError
 from .model import ModelAssembly
 
 def _log(msg: str) -> None:
@@ -130,9 +130,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             ckpt = _checkpoint(task_dir / f"{method}.ckpt", method[:-1])
             scores[method] = E.score(assembly_from_checkpoint(ckpt, seed=cfg.seed),
                                      bundle, "test")
-        any_score = scores["refined"]
-        table.add_row(f"{bundle.schema.name}|{setting}", any_score.metric,
-                      any_score.higher_better, {m: s.value for m, s in scores.items()})
+        table.add_row(f"{bundle.schema.name}|{setting}", scores["refined"].metric,
+                      {m: s.value for m, s in scores.items()})
     path = out / "scores.json"
     path.write_text(json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -153,7 +152,11 @@ def cmd_report(cfg: RunConfig, out: Path) -> None:
     scores_path = out / "scores.json"
     if not scores_path.exists():
         raise UsageError(f"missing {scores_path}; run eval first")
-    table = E.ScoreTable.from_dict(json.loads(scores_path.read_text()))
+    try:
+        table = E.ScoreTable.from_dict(json.loads(scores_path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{scores_path}: malformed score table "
+                        f"({type(exc).__name__}: {exc})") from None
     report_prefix = out / "report"
     E.build_report({"main": table}, report_prefix)
     _provenance(cfg, "report", report_prefix.with_suffix(".json"))

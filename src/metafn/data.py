@@ -248,8 +248,18 @@ def prepare(bundle: DatasetBundle, split_seed: int,
 
 
 def load_manifest(path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Schema.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{path}: manifest not found") from None
+    except ValueError as exc:   # not UTF-8 or not JSON
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return Schema.from_dict(meta)
+    except (KeyError, TypeError, DataError) as exc:
+        raise DataError(f"{path}: malformed manifest "
+                        f"({type(exc).__name__}: {exc})") from None
 
 
 def _finite(text: str, csv_path, r: int, column: str) -> float:

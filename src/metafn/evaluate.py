@@ -1,17 +1,19 @@
 """Scoring, cross-method comparison, coefficient export, report assembly.
 
-Scores are accuracy (binary, higher better, logit threshold 0) or mean
-squared error on standardized targets (regression, lower better, also
-reported de-standardized).  Reports follow the usual conventions for
-cross-method tables: per-task performance ranks with average-tied ranks,
-pairwise win/tie/loss counts with ties decided after rounding to three
-decimals, and regression cells displayed negated so that higher is
-always better.
+Scores are accuracy (binary, logit threshold 0) or mean squared error on
+standardized targets (regression).  A score's metric name alone fixes its
+direction, through ``HIGHER_BETTER``; every comparison and every report
+cell goes through ``oriented``, which signs a value so that higher is
+better.  Reports follow the usual conventions for cross-method tables:
+per-task performance ranks with average-tied ranks, pairwise
+win/tie/loss counts with ties decided after rounding to three decimals,
+and regression cells displayed negated.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .model import ModelAssembly, ModelConfig
 from .tensor import no_grad
 
 TIE_DECIMALS = 3
+HIGHER_BETTER = {"accuracy": True, "mse": False}
 # Rows per no-grad forward pass, at most.  At 256 rows each block's
 # temporaries stay at about 2 MB or less (the packed Q/K/V projection of a
 # 9-token table at d=32), so the allocator reuses them from the heap on the
@@ -66,12 +69,15 @@ def predictions(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: st
     return out
 
 
+def oriented(metric: str, value):
+    """``value`` (a float or an array) signed so that higher is better."""
+    return value if HIGHER_BETTER[metric] else -value
+
+
 @dataclass
 class Score:
     value: float
     metric: str
-    higher_better: bool
-    extras: dict = field(default_factory=dict)
 
 
 def score(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
@@ -88,10 +94,8 @@ def score(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
     y = mats[2]
     if bundle.schema.task == "binary":
         acc = float(np.mean((pred > 0.0) == (y == 1.0)))
-        return Score(acc, "accuracy", True)
-    mse = float(np.mean((pred - y) ** 2))
-    return Score(mse, "mse", False,
-                 extras={"mse_destandardized": D.de_standardize_mse(bundle, mse)})
+        return Score(acc, "accuracy")
+    return Score(float(np.mean((pred - y) ** 2)), "mse")
 
 
 # -- score tables --------------------------------------------------------------
@@ -99,41 +103,47 @@ def score(assembly: ModelAssembly, bundle: D.DatasetBundle, split_name: str,
 
 @dataclass
 class ScoreTable:
-    """Tasks x methods score matrix with a per-row orientation."""
+    """Tasks x methods score matrix; each row's metric fixes its direction."""
     methods: list[str]
     tasks: list[str] = field(default_factory=list)
     metric_names: list[str] = field(default_factory=list)
-    higher_better: list[bool] = field(default_factory=list)
     values: list[list[float]] = field(default_factory=list)
 
-    def add_row(self, task: str, metric: str, higher_better: bool,
-                scores: dict[str, float]) -> None:
+    def add_row(self, task: str, metric: str, scores: dict[str, float]) -> None:
+        if metric not in HIGHER_BETTER:
+            raise DataError(f"task {task!r} has unknown metric {metric!r}")
         missing = [m for m in self.methods if m not in scores]
         if missing:
             raise DataError(f"task {task!r} is missing scores for {missing}")
+        row = [float(scores[m]) for m in self.methods]
+        for m, v in zip(self.methods, row):
+            if not math.isfinite(v):
+                raise DataError(f"task {task!r}, method {m!r}: score {v} is not finite")
         self.tasks.append(task)
         self.metric_names.append(metric)
-        self.higher_better.append(higher_better)
-        self.values.append([float(scores[m]) for m in self.methods])
+        self.values.append(row)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    def column(self, method: str) -> np.ndarray:
-        return self.array[:, self.methods.index(method)]
+    def oriented(self) -> np.ndarray:
+        """[tasks, methods] values, each row signed so that higher is better."""
+        return np.array([oriented(m, np.asarray(row, dtype=np.float64))
+                         for m, row in zip(self.metric_names, self.values)])
 
     def to_dict(self) -> dict:
         return {"methods": self.methods, "tasks": self.tasks,
-                "metrics": self.metric_names,
-                "higher_better": self.higher_better, "values": self.values}
+                "metrics": self.metric_names, "values": self.values}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreTable":
         t = cls(list(d["methods"]))
-        for task, metric, hb, row in zip(d["tasks"], d["metrics"],
-                                         d["higher_better"], d["values"]):
-            t.add_row(task, metric, hb, dict(zip(d["methods"], row)))
+        lists = d["tasks"], d["metrics"], d["values"]
+        if len({len(x) for x in lists}) != 1:
+            raise DataError("tasks, metrics and values differ in length: "
+                            + ", ".join(str(len(x)) for x in lists))
+        for task, metric, row in zip(*lists):
+            if len(row) != len(t.methods):
+                raise DataError(f"task {task!r} has {len(row)} scores "
+                                f"for {len(t.methods)} methods")
+            t.add_row(task, metric, dict(zip(t.methods, row)))
         return t
 
 
@@ -151,11 +161,7 @@ def rank_methods(table: ScoreTable) -> RankResult:
         raise UsageError("ranking needs at least two methods")
     if not table.tasks:
         raise UsageError("ranking needs at least one task row")
-    rows = []
-    for hb, row in zip(table.higher_better, table.values):
-        vals = np.asarray(row)
-        rows.append(rankdata(-vals if hb else vals, method="average"))
-    ranks = np.vstack(rows)
+    ranks = np.vstack([rankdata(-row, method="average") for row in table.oriented()])
     mean = {m: float(ranks[:, j].mean()) for j, m in enumerate(table.methods)}
     std = {m: float(ranks[:, j].std()) for j, m in enumerate(table.methods)}
     return RankResult(list(table.methods), ranks, mean, std)
@@ -163,17 +169,11 @@ def rank_methods(table: ScoreTable) -> RankResult:
 
 def win_tie_loss(table: ScoreTable, method_a: str, method_b: str) -> tuple[int, int, int]:
     """Pairwise comparison; scores equal after rounding to ``TIE_DECIMALS`` count as ties."""
-    a = np.round(table.column(method_a), TIE_DECIMALS)
-    b = np.round(table.column(method_b), TIE_DECIMALS)
-    wins = ties = losses = 0
-    for hb, x, y in zip(table.higher_better, a, b):
-        if x == y:
-            ties += 1
-        elif (x > y) == hb:
-            wins += 1
-        else:
-            losses += 1
-    return wins, ties, losses
+    values = np.round(table.oriented(), TIE_DECIMALS)
+    a = values[:, table.methods.index(method_a)]
+    b = values[:, table.methods.index(method_b)]
+    wins, ties = int(np.sum(a > b)), int(np.sum(a == b))
+    return wins, ties, len(a) - wins - ties
 
 
 # -- coefficient export ---------------------------------------------------------
@@ -207,11 +207,6 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path)
 # -- report ----------------------------------------------------------------------
 
 
-def _display_value(metric: str, value: float) -> float:
-    # regression MSE cells carry a minus sign so higher is better everywhere
-    return -value if metric == "mse" else value
-
-
 def _table_section(table: ScoreTable) -> dict:
     rank = rank_methods(table)
     wtl = {}
@@ -221,7 +216,7 @@ def _table_section(table: ScoreTable) -> dict:
     return {
         "raw_scores": [
             {"task": t, "metric": m,
-             "scores": {meth: _display_value(m, v)
+             "scores": {meth: oriented(m, v)
                         for meth, v in zip(table.methods, row)}}
             for t, m, row in zip(table.tasks, table.metric_names, table.values)],
         "rank": {m: {"mean": rank.mean[m], "std": rank.std[m]}

@@ -158,11 +158,10 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
                  {"params": list(constant.values()), "lr": spec.base_lr}])
     tasks = {b.schema.name: b.schema.task for b in bundles}
     kept = before = _snapshot(params)
-    kept_epoch, kept_metric, higher_better = 0, float("nan"), False
+    kept_epoch, kept_metric = 0, float("nan")
     if keep_best:
-        first = E.score(assembly, bundles[0], "valid",
-                        matrices=valid[bundles[0].schema.name])
-        kept_metric, higher_better = first.value, first.higher_better
+        kept_metric = E.score(assembly, bundles[0], "valid",
+                              matrices=valid[bundles[0].schema.name]).value
 
     losses: list[float] = []
     period_start = 0
@@ -203,8 +202,8 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
                     wall_time=time.perf_counter() - t0,
                     changed_params=_changed(before, snap)))
                 before, period_start = snap, len(losses)
-                if (not keep_best or (metric > kept_metric if higher_better
-                                      else metric < kept_metric)):
+                if not keep_best or (E.oriented(metric_name, metric)
+                                     > E.oriented(metric_name, kept_metric)):
                     kept, kept_epoch, kept_metric = snap, epoch, metric
         finally:
             _restore(params, kept)

@@ -24,7 +24,6 @@ from .model import ModelAssembly, ModelConfig
 class TaskComparison:
     task: str
     metric: str
-    higher_better: bool
     transfer: float
     scratch: float
     transfer_raw: float           # de-standardized, where applicable
@@ -37,9 +36,7 @@ class TaskComparison:
 
     @property
     def transfer_wins(self) -> bool:
-        if self.higher_better:
-            return self.transfer > self.scratch
-        return self.transfer < self.scratch
+        return E.oriented(self.metric, self.transfer) > E.oriented(self.metric, self.scratch)
 
 
 @dataclass
@@ -54,8 +51,7 @@ class TransferReport:
     def score_table(self) -> E.ScoreTable:
         table = E.ScoreTable(["transfer", "scratch"])
         for t in self.tasks:
-            table.add_row(t.task, t.metric, t.higher_better,
-                          {"transfer": t.transfer, "scratch": t.scratch})
+            table.add_row(t.task, t.metric, {"transfer": t.transfer, "scratch": t.scratch})
         return table
 
 
@@ -116,10 +112,9 @@ def run_transfer_benchmark(suite: SynthSuite, cfg: ModelConfig,
         oracle = suite.oracle_mse(bundle) if raw.true_mixture is not None else None
         report.tasks.append(TaskComparison(
             task=bundle.schema.name, metric=s_t.metric,
-            higher_better=s_t.higher_better,
             transfer=s_t.value, scratch=s_s.value,
-            transfer_raw=s_t.extras.get("mse_destandardized", s_t.value),
-            scratch_raw=s_s.extras.get("mse_destandardized", s_s.value),
+            transfer_raw=D.de_standardize_mse(bundle, s_t.value),
+            scratch_raw=D.de_standardize_mse(bundle, s_s.value),
             oracle_raw=oracle,
             calibrate_best_epoch=cal_log.best_epoch,
             refine_best_epoch=ref_log.best_epoch,
@@ -164,8 +159,7 @@ def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
                                 ("coefficient_source", ["mlp", "direct"])):
         table = E.ScoreTable(methods)
         for task in task_names:
-            any_score = scores[methods[0]][task]
-            table.add_row(task, any_score.metric, any_score.higher_better,
+            table.add_row(task, scores[methods[0]][task].metric,
                           {m: scores[m][task].value for m in methods})
         tables[table_name] = table
     return tables

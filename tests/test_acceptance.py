@@ -231,7 +231,7 @@ def test_criterion_9_metric_oracles():
         vals = np.round(rng.uniform(size=(n_tasks, n_methods)), 1)
         table = E.ScoreTable([f"m{j}" for j in range(n_methods)])
         for i in range(n_tasks):
-            table.add_row(f"t{i}", "accuracy" if hb else "mse", hb,
+            table.add_row(f"t{i}", "accuracy" if hb else "mse",
                           {f"m{j}": vals[i, j] for j in range(n_methods)})
         got = E.rank_methods(table).ranks
         for i in range(n_tasks):

@@ -155,6 +155,33 @@ def test_malformed_suite_json_exits_1_with_an_error_line(tmp_path, capsys):
     assert "error:" in err and "suite.json" in err and "Traceback" not in err
 
 
+SCORES = {"methods": ["calibrated", "refined"], "tasks": ["t0", "t1"],
+          "metrics": ["mse", "accuracy"], "values": [[0.5, 0.4], [0.8, 0.9]]}
+
+
+@pytest.mark.parametrize("text,reason", [
+    (json.dumps(SCORES)[:40], "JSONDecodeError"),
+    (json.dumps({k: v for k, v in SCORES.items() if k != "metrics"}), "KeyError: 'metrics'"),
+    (json.dumps({**SCORES, "tasks": ["t0", "t1", "t2"]}), "differ in length: 3, 2, 2"),
+    (json.dumps({**SCORES, "values": [[0.5], [0.8, 0.9]]}), "1 scores for 2 methods"),
+    (json.dumps({**SCORES, "values": [[0.5, 0.4, 0.3], [0.8, 0.9]]}), "3 scores for 2 methods"),
+    (json.dumps({**SCORES, "values": [[0.5, float("nan")], [0.8, 0.9]]}),
+     "task 't0', method 'refined': score nan is not finite"),
+    (json.dumps({**SCORES, "metrics": ["mse", "auc"]}), "unknown metric 'auc'"),
+    (json.dumps([SCORES]), "TypeError"),
+], ids=["truncated", "missing-key", "unequal-lists", "short-row", "long-row", "nan-score",
+        "unknown-metric", "top-level-list"])
+def test_malformed_scores_json_exits_1_with_an_error_line(tmp_path, capsys, text, reason):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "scores.json").write_text(text)
+    assert run("report", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "scores.json" in err and "Traceback" not in err
+    assert reason in err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_file_exits_2():
     assert main(["pretrain", "--config", "/nonexistent.json"]) == 2
 

@@ -337,3 +337,30 @@ def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
     path.write_text(edit(json.loads(path.read_text())))
     with pytest.raises(DataError, match="suite.json"):
         D.load_suite(tmp_path)
+
+
+def _with_column(column):
+    return {**MANIFEST, "columns": [column, *MANIFEST["columns"][1:]]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(MANIFEST)[:30],
+    json.dumps({k: v for k, v in MANIFEST.items() if k != "task"}),
+    json.dumps(_with_column({"name": "age"})),
+    json.dumps([MANIFEST]),
+    json.dumps(_with_column({"name": "age", "kind": "ordinal"})),
+    json.dumps(_with_column({"name": "age", "kind": "categorical", "vocabulary": 3})),
+], ids=["not-json", "missing-task", "column-without-kind", "top-level-list", "unknown-kind",
+        "vocabulary-not-a-list"])
+def test_load_manifest_rejects_a_malformed_manifest_naming_it(tmp_path, text):
+    csv_path, man_path = write_csv(tmp_path, "age,color,label\n1,red,0\n", MANIFEST)
+    man_path.write_text(text)
+    with pytest.raises(DataError, match=r"d\.manifest\.json"):
+        D.load_manifest(man_path)
+    with pytest.raises(DataError, match=r"d\.manifest\.json"):
+        D.load_csv(csv_path, man_path)
+
+
+def test_load_manifest_names_a_missing_manifest(tmp_path):
+    with pytest.raises(DataError, match=r"absent\.manifest\.json: manifest not found"):
+        D.load_manifest(tmp_path / "absent.manifest.json")

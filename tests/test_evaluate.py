@@ -47,9 +47,8 @@ def test_score_regression_constant_predictor_near_one():
     head.weight.data = np.zeros_like(head.weight.data)
     head.bias.data = np.zeros_like(head.bias.data)
     s = E.score(asm, bundle, "test")
-    assert s.metric == "mse" and not s.higher_better
+    assert s.metric == "mse"
     assert abs(s.value - 1.0) < 0.15  # variance of standardized targets
-    assert "mse_destandardized" in s.extras
 
 
 def test_score_perfect_binary_predictor():
@@ -60,7 +59,7 @@ def test_score_perfect_binary_predictor():
     preds = E.predictions(asm, bundle, "test", D.matrices(bundle, "test"))
     bundle.y[bundle.splits["test"]] = (preds > 0).astype(float)
     s = E.score(asm, bundle, "test")
-    assert s.metric == "accuracy" and s.higher_better
+    assert s.metric == "accuracy"
     assert s.value == 1.0
 
 
@@ -107,12 +106,27 @@ def test_score_empty_split_is_usage_error():
         E.score(asm, bundle, "valid")
 
 
+def brute_force_win_tie_loss(a, b, higher_better):
+    """Row-by-row reference: equal at 3 decimals is a tie, else the row's direction decides."""
+    wins = ties = losses = 0
+    for x, y, hb in zip(np.round(a, 3), np.round(b, 3), higher_better):
+        if x == y:
+            ties += 1
+        elif (x > y) == hb:
+            wins += 1
+        else:
+            losses += 1
+    return wins, ties, losses
+
+
 def make_table(values, higher_better=True, methods=None):
+    """Accuracy rows where ``higher_better`` holds, mse rows elsewhere; one bool or one per row."""
     methods = methods or [f"m{j}" for j in range(len(values[0]))]
+    if not isinstance(higher_better, list):
+        higher_better = [higher_better] * len(values)
     t = E.ScoreTable(methods)
-    for i, row in enumerate(values):
-        t.add_row(f"task{i}", "accuracy" if higher_better else "mse",
-                  higher_better, dict(zip(methods, row)))
+    for i, (row, hb) in enumerate(zip(values, higher_better)):
+        t.add_row(f"task{i}", "accuracy" if hb else "mse", dict(zip(methods, row)))
     return t
 
 
@@ -140,9 +154,34 @@ def test_rank_matches_brute_force_on_1000_random_tables():
             assert got[i].sum() == pytest.approx(n_methods * (n_methods + 1) / 2)
 
 
+def test_rank_and_win_tie_loss_match_brute_force_on_mixed_direction_tables():
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n_methods = int(rng.integers(2, 6))
+        n_tasks = int(rng.integers(2, 8))
+        # one accuracy and one mse row at least, the rest drawn
+        hb = [True, False] + rng.integers(2, size=n_tasks - 2).astype(bool).tolist()
+        vals = np.round(rng.uniform(size=(n_tasks, n_methods)), int(rng.integers(1, 5)))
+        table = make_table(vals.tolist(), higher_better=hb)
+        got = E.rank_methods(table).ranks
+        for i in range(n_tasks):
+            np.testing.assert_array_equal(got[i], brute_force_ranks(vals[i], hb[i]))
+        for a, b in ((0, 1), (1, 0), (0, n_methods - 1)):
+            assert E.win_tie_loss(table, f"m{a}", f"m{b}") == \
+                brute_force_win_tie_loss(vals[:, a], vals[:, b], hb)
+
+
+def test_direction_comes_from_the_metric():
+    assert (E.oriented("accuracy", 0.9), E.oriented("mse", 0.25)) == (0.9, -0.25)
+    # A beats B on the mse row and loses on the accuracy row
+    t = make_table([[0.1, 0.5], [0.1, 0.5]], higher_better=[False, True], methods=["A", "B"])
+    assert E.win_tie_loss(t, "A", "B") == (1, 0, 1)
+    np.testing.assert_array_equal(E.rank_methods(t).ranks, [[1, 2], [2, 1]])
+
+
 def test_rank_requires_two_methods():
     t = E.ScoreTable(["only"])
-    t.add_row("a", "mse", False, {"only": 1.0})
+    t.add_row("a", "mse", {"only": 1.0})
     with pytest.raises(UsageError):
         E.rank_methods(t)
 
@@ -212,8 +251,8 @@ def test_export_coefficients_token_counts_match_spec_shapes(tmp_path):
 
 def test_build_report_deterministic_and_signed(tmp_path):
     table = E.ScoreTable(["transfer", "scratch"])
-    table.add_row("t1", "mse", False, {"transfer": 0.25, "scratch": 0.5})
-    table.add_row("t2", "accuracy", True, {"transfer": 0.9, "scratch": 0.8})
+    table.add_row("t1", "mse", {"transfer": 0.25, "scratch": 0.5})
+    table.add_row("t2", "accuracy", {"transfer": 0.9, "scratch": 0.8})
     rep = E.build_report({"main": table}, tmp_path / "report")
     raw = rep["main"]["raw_scores"]
     assert raw[0]["scores"]["transfer"] == -0.25  # negated mse
@@ -229,13 +268,36 @@ def test_build_report_deterministic_and_signed(tmp_path):
 def test_score_table_missing_cell_rejected():
     t = E.ScoreTable(["a", "b"])
     with pytest.raises(DataError, match="missing"):
-        t.add_row("t", "mse", False, {"a": 1.0})
+        t.add_row("t", "mse", {"a": 1.0})
+
+
+def test_score_table_rejects_an_unknown_metric():
+    t = E.ScoreTable(["a", "b"])
+    with pytest.raises(DataError, match="task 't' has unknown metric 'rmse'"):
+        t.add_row("t", "rmse", {"a": 1.0, "b": 2.0})
+    assert t.tasks == [] and t.values == []
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "mse"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_score_table_rejects_a_non_finite_score_naming_task_and_method(metric, bad):
+    t = E.ScoreTable(["A", "B"])
+    t.add_row("t0", metric, {"A": 0.9, "B": 0.5})
+    with pytest.raises(DataError, match="task 't1', method 'B'"):
+        t.add_row("t1", metric, {"A": 0.9, "B": bad})
+    assert t.tasks == ["t0"] and t.metric_names == [metric] and len(t.values) == 1
 
 
 def test_score_table_roundtrip():
     t = make_table([[0.1, 0.2], [0.3, 0.4]], higher_better=False)
-    t2 = E.ScoreTable.from_dict(json.loads(json.dumps(t.to_dict())))
+    d = t.to_dict()
+    assert set(d) == {"methods", "tasks", "metrics", "values"}
+    t2 = E.ScoreTable.from_dict(json.loads(json.dumps(d)))
     assert t2.values == t.values and t2.methods == t.methods
+    assert t2.metric_names == t.metric_names == ["mse", "mse"]
+    # keys other than these four are not read
+    t3 = E.ScoreTable.from_dict({**d, "higher_better": [True, True]})
+    assert t3.to_dict() == d
 
 
 def test_predictions_in_several_blocks_equal_one_block_bitwise(monkeypatch):

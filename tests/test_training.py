@@ -274,6 +274,23 @@ def test_transfer_benchmark_smoke(suite):
     assert table.methods == ["transfer", "scratch"] and len(table.tasks) == 2
 
 
+def test_transfer_wins_follows_each_task_metric():
+    from metafn import evaluate as E
+
+    def task(metric, transfer, scratch):
+        return W.TaskComparison(
+            task=f"{metric}-{transfer}", metric=metric, transfer=transfer, scratch=scratch,
+            transfer_raw=transfer, scratch_raw=scratch, oracle_raw=None,
+            calibrate_best_epoch=1, refine_best_epoch=1, calibrate_valid=0.0,
+            refine_valid=0.0)
+
+    report = W.TransferReport([task("mse", 0.1, 0.5), task("accuracy", 0.1, 0.5),
+                               task("mse", 0.3, 0.3), task("accuracy", 0.9, 0.8)])
+    assert [t.transfer_wins for t in report.tasks] == [True, False, False, True]
+    assert report.wins == 2
+    assert E.win_tie_loss(report.score_table(), "transfer", "scratch") == (2, 1, 1)
+
+
 def test_trainlog_jsonl_roundtrip(tmp_path, suite):
     _, _, log = pretrained(suite, epochs=2, seed=11)
     path = tmp_path / "log.jsonl"
@@ -416,7 +433,7 @@ def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
 
     def fake_score(assembly, b, split, matrices=None):
         at_validation.append(params_of(assembly))
-        return E.Score(scripted[len(at_validation) - 1], "mse", False)
+        return E.Score(scripted[len(at_validation) - 1], "mse")
 
     monkeypatch.setattr(E, "score", fake_score)
     nan_loss_on_call(monkeypatch, 6, lambda: at_nan.append(params_of(asm)))
@@ -428,6 +445,34 @@ def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
     trainable = asm.partition_parameters(bundle.schema.name).calibratable
     best = at_validation[2]
     assert any(not np.array_equal(at_nan[0][n], best[n]) for n in trainable)
+    for n in trainable:
+        np.testing.assert_array_equal(asm.parameters()[n].data, best[n])
+
+
+def test_calibrate_keeps_the_first_best_epoch_of_a_higher_is_better_metric(suite, monkeypatch):
+    from metafn import evaluate as E
+    _, shared, _ = pretrained(suite, epochs=2, seed=6)
+    bundle = D.prepare(suite.heldout[0], split_seed=6, setting="T-100")
+    asm = ModelAssembly(CFG, seed=88)
+    load_shared(asm, shared)
+    # one step per epoch at T-100; the scripted accuracy makes epochs 2 and 4
+    # tie for best above the initial state, and the first of them is kept
+    scripted = [0.5, 0.6, 0.9, 0.7, 0.9]
+    at_validation = []
+
+    def fake_score(assembly, b, split, matrices=None):
+        at_validation.append(params_of(assembly))
+        return E.Score(scripted[len(at_validation) - 1], "accuracy")
+
+    monkeypatch.setattr(E, "score", fake_score)
+    log = TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=4, seed=6))
+
+    assert not log.diverged
+    assert [e.valid_metric for e in log.entries] == scripted[1:]
+    assert (log.best_epoch, log.best_metric) == (2, 0.9)
+    trainable = asm.partition_parameters(bundle.schema.name).calibratable
+    best = at_validation[2]
+    assert any(not np.array_equal(at_validation[4][n], best[n]) for n in trainable)
     for n in trainable:
         np.testing.assert_array_equal(asm.parameters()[n].data, best[n])
 
