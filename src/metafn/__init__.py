@@ -8,8 +8,8 @@ calibrate / refine), dataset preprocessing, and an evaluation harness.
 
 from .calinear import CaLinear, calinear_ffn_forward
 from .checkpoint import Checkpoint, assembly_from_checkpoint, load_shared, save_checkpoint
-from .data import (DatasetBundle, Schema, SynthSuiteSpec, apply_setting,
-                   generate_synth_suite, load_csv, split)
+from .data import (DatasetBundle, Schema, SynthSuiteSpec, generate_synth_suite,
+                   load_csv, prepare)
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      MetafnError, UsageError)
 from .gradcheck import check_gradients
@@ -26,9 +26,8 @@ __all__ = [
     "DataError", "DatasetBundle", "DatasetSignature", "DimensionError",
     "MetafnError", "ModelAssembly", "ModelConfig", "Parameter", "PhaseSpec",
     "Schema", "SynthSuiteSpec", "Tensor", "TrainLog", "UsageError",
-    "apply_setting", "assembly_from_checkpoint", "calibrate",
-    "calinear_ffn_forward", "check_gradients", "compute_loss",
-    "generate_synth_suite", "layer_norm", "load_csv", "load_shared", "lr_at",
-    "no_grad", "pretrain", "refine", "save_checkpoint", "self_attention",
-    "softmax", "split", "train_from_scratch",
+    "assembly_from_checkpoint", "calibrate", "calinear_ffn_forward",
+    "check_gradients", "compute_loss", "generate_synth_suite", "layer_norm",
+    "load_csv", "load_shared", "lr_at", "no_grad", "prepare", "pretrain",
+    "refine", "save_checkpoint", "self_attention", "softmax", "train_from_scratch",
 ]

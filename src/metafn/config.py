@@ -113,7 +113,10 @@ class RunConfig:
                     user = json.load(fh)
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {path}") from None
-            except json.JSONDecodeError as exc:
+            except OSError as exc:      # a directory, unreadable, ...
+                raise ConfigError(f"config file {path} cannot be read: "
+                                  f"{exc.strerror}") from None
+            except ValueError as exc:   # not UTF-8 or not JSON
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
             cfg = _deep_merge(cfg, user)
         for text in overrides:

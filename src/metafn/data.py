@@ -137,95 +137,70 @@ class DatasetBundle:
     transforms: list[QuantileTransform] | None = None
     target_mean: float | None = None
     target_std: float | None = None
-    unknown_count: int = 0
     true_mixture: np.ndarray | None = None   # synthetic provenance
 
     @property
     def n_rows(self) -> int:
         return self.y.shape[0]
 
-    def split_sizes(self) -> dict[str, int]:
-        if self.splits is None:
-            raise UsageError(f"split {self.schema.name!r} first")
-        return {k: len(v) for k, v in self.splits.items()}
+    def split_rows(self, name: str) -> np.ndarray:
+        """The row indices of split ``name`` of a bundle from ``prepare``."""
+        if self.splits is None or self.transforms is None:
+            raise UsageError(f"bundle {self.schema.name!r} is not prepared: "
+                             f"split and fit it with data.prepare first")
+        if name not in self.splits:
+            raise UsageError(f"unknown split {name!r}")
+        return self.splits[name]
 
 
-def split(bundle: DatasetBundle, seed: int) -> dict[str, np.ndarray]:
-    """80:20 split into pool/test, then 20% of the pool becomes validation."""
+def prepare(bundle: DatasetBundle, split_seed: int,
+            setting: str = "T-full") -> DatasetBundle:
+    """A copy of ``bundle`` split, capped to ``setting`` and fitted on its train rows.
+
+    80:20 into pool and test, then 20% of the pool becomes validation; the
+    setting's caps subsample train and valid, never test.  Quantile maps and,
+    for regression, the target mean and std see only the capped train rows.
+    The permutation, the caps and the jitter use separate streams of ``split_seed``.
+    """
     n = bundle.n_rows
     if n < 5:
         raise DataError(f"need at least 5 rows to split, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_test = int(np.floor(0.2 * n))
-    rest = perm[n_test:]
-    n_valid = int(np.floor(0.2 * rest.size))
-    splits = {
-        "test": np.sort(perm[:n_test]),
-        "valid": np.sort(rest[:n_valid]),
-        "train": np.sort(rest[n_valid:]),
-    }
-    bundle.splits = splits
-    return splits
-
-
-def apply_setting(bundle: DatasetBundle, setting: str, seed: int) -> DatasetBundle:
-    """Subsample train/valid down to the setting's caps; test is untouched."""
     if setting not in SETTINGS:
         raise UsageError(f"unknown setting {setting!r}; choose from {sorted(SETTINGS)}")
-    if bundle.splits is None:
-        raise UsageError("split the bundle before applying a setting")
-    rng = np.random.default_rng(seed)
-    out = replace(bundle)
-    new = dict(bundle.splits)
+    perm = np.random.default_rng(split_seed).permutation(n)
+    n_test = int(np.floor(0.2 * n))
+    n_valid = int(np.floor(0.2 * (n - n_test)))
+    splits = {"test": np.sort(perm[:n_test]),
+              "valid": np.sort(perm[n_test:n_test + n_valid]),
+              "train": np.sort(perm[n_test + n_valid:])}
+    caps_rng = np.random.default_rng(split_seed)
     for key, cap in zip(("train", "valid"), SETTINGS[setting]):
-        idx = bundle.splits[key]
-        if cap is not None and idx.size > cap:
-            new[key] = np.sort(rng.choice(idx, size=cap, replace=False))
-    out.splits = new
-    return out
+        if cap is not None and splits[key].size > cap:
+            splits[key] = np.sort(caps_rng.choice(splits[key], size=cap, replace=False))
 
-
-def standardize_targets(bundle: DatasetBundle) -> DatasetBundle:
-    """Record train-split mean/std for regression targets; no-op otherwise."""
-    if bundle.schema.task != "regression":
-        return bundle
-    if bundle.splits is None:
-        raise UsageError("split the bundle before standardizing targets")
-    train_y = bundle.y[bundle.splits["train"]]
-    std = float(train_y.std())
-    if std == 0.0:
-        raise DataError("regression target is constant on the training split")
-    bundle.target_mean = float(train_y.mean())
-    bundle.target_std = std
-    return bundle
-
-
-def fit_transforms(bundle: DatasetBundle, seed: int) -> DatasetBundle:
-    """Fit per-column quantile maps and target standardization on train rows."""
-    if bundle.splits is None:
-        raise UsageError("split the bundle before fitting transforms")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9a111]))
-    train = bundle.splits["train"]
-    bundle.transforms = [
-        QuantileTransform.fit(bundle.x_num[train, j], rng)
-        for j in range(bundle.x_num.shape[1])]
-    standardize_targets(bundle)
-    return bundle
+    train = splits["train"]
+    jitter_rng = np.random.default_rng(np.random.SeedSequence([split_seed, 0x9a111]))
+    transforms = [QuantileTransform.fit(bundle.x_num[train, j], jitter_rng)
+                  for j in range(bundle.x_num.shape[1])]
+    target_mean = target_std = None
+    if bundle.schema.task == "regression":
+        train_y = bundle.y[train]
+        target_std = float(train_y.std())
+        if target_std == 0.0:
+            raise DataError("regression target is constant on the training split")
+        target_mean = float(train_y.mean())
+    return replace(bundle, splits=splits, transforms=transforms,
+                   target_mean=target_mean, target_std=target_std)
 
 
 def matrices(bundle: DatasetBundle, split_name: str):
     """Model-ready (x_num, x_cat, y) for one split, transforms applied."""
-    if bundle.splits is None or bundle.transforms is None:
-        raise UsageError("bundle must be split and fitted first")
-    if split_name not in bundle.splits:
-        raise UsageError(f"unknown split {split_name!r}")
-    idx = bundle.splits[split_name]
+    idx = bundle.split_rows(split_name)
     x_num = np.column_stack([t.apply(bundle.x_num[idx, j])
                              for j, t in enumerate(bundle.transforms)]) \
         if bundle.transforms else np.empty((idx.size, 0))
     y = bundle.y[idx].astype(np.float64)
-    if bundle.schema.task == "regression" and bundle.target_std is not None:
+    if bundle.target_std is not None:
         y = (y - bundle.target_mean) / bundle.target_std
     return x_num, bundle.x_cat[idx], y
 
@@ -234,14 +209,6 @@ def de_standardize_mse(bundle: DatasetBundle, standardized_mse: float) -> float:
     if bundle.target_std is None:
         return standardized_mse
     return standardized_mse * bundle.target_std ** 2
-
-
-def prepare(bundle: DatasetBundle, split_seed: int,
-            setting: str = "T-full") -> DatasetBundle:
-    """Split a copy of ``bundle``, apply the setting and fit transforms, seeded by ``split_seed``."""
-    full = replace(bundle)
-    split(full, split_seed)
-    return fit_transforms(apply_setting(full, setting, split_seed), split_seed)
 
 
 # -- CSV + manifest ----------------------------------------------------------
@@ -277,18 +244,21 @@ def _finite(text: str, csv_path, r: int, column: str) -> float:
 def load_csv(csv_path, manifest_path) -> DatasetBundle:
     """Parse a CSV against its manifest into an unfitted bundle."""
     schema = load_manifest(manifest_path)
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{csv_path}: file is empty") from None
-        expected = [c.name for c in schema.columns]
-        if header != expected:
-            bad = next((h for h, e in zip(header, expected) if h != e),
-                       header[len(expected):] or expected[len(header):])
-            raise DataError(f"{csv_path}: header does not match manifest near {bad!r}")
-        rows = list(reader)
+    try:
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise DataError(f"{csv_path}: CSV not found") from None
+    except ValueError as exc:   # not UTF-8
+        raise DataError(f"{csv_path}: not valid UTF-8: {exc}") from None
+    if not rows:
+        raise DataError(f"{csv_path}: file is empty")
+    header, rows = rows[0], rows[1:]
+    expected = [c.name for c in schema.columns]
+    if header != expected:
+        bad = next((h for h, e in zip(header, expected) if h != e),
+                   header[len(expected):] or expected[len(header):])
+        raise DataError(f"{csv_path}: header does not match manifest near {bad!r}")
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
 
@@ -324,7 +294,7 @@ def load_csv(csv_path, manifest_path) -> DatasetBundle:
     if unknown:
         warnings.warn(f"{schema.name}: {unknown} categorical values outside the "
                       f"vocabulary mapped to the unknown bucket")
-    return DatasetBundle(schema, x_num, x_cat, y, unknown_count=unknown)
+    return DatasetBundle(schema, x_num, x_cat, y)
 
 
 def save_csv(bundle: DatasetBundle, csv_path, manifest_path) -> None:
@@ -429,9 +399,7 @@ class SynthSuite:
 
     def oracle_mse(self, bundle: DatasetBundle) -> float:
         """The ground-truth mixture's raw-unit MSE on the test split."""
-        if bundle.splits is None:
-            raise UsageError("split the bundle before asking for the oracle MSE")
-        idx = bundle.splits["test"]
+        idx = bundle.split_rows("test")
         pred = self.oracle_predictions(bundle, bundle.x_num[idx])
         return float(np.mean((pred - bundle.y[idx]) ** 2))
 

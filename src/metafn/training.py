@@ -247,7 +247,7 @@ def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
              scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
     """Epochs over one dataset, logged per epoch, best state retained."""
     name = bundle.schema.name
-    n = bundle.split_sizes()["train"]
+    n = bundle.split_rows("train").size
     steps_per_epoch = max(1, ceil(n / spec.batch_cap))
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
     return _train(assembly, [bundle], spec, TrainLog(phase=spec.phase, dataset=name),
@@ -315,7 +315,7 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
         if b.schema.name not in assembly.datasets:
             raise UsageError(f"attach {b.schema.name!r} before pretraining")
 
-    sizes = {b.schema.name: b.split_sizes()["train"] for b in bundles}
+    sizes = {b.schema.name: b.split_rows("train").size for b in bundles}
     steps_per_epoch = sum(ceil(size / spec.batch_cap) for size in sizes.values())
     total = steps_total if steps_total is not None else spec.epochs * steps_per_epoch
     if total <= 0:

@@ -138,15 +138,15 @@ def run_ablation_grid(suite: SynthSuite, base_cfg: ModelConfig,
     variants["mlp"] = base_cfg
     variants["direct"] = dataclasses.replace(base_cfg, mode="direct")
 
+    pre_bundles = prepare_pretrain_bundles(suite, data_seed)
+    tasks = [D.prepare(raw, split_seed=data_seed, setting=setting) for raw in suite.heldout]
     scores: dict[str, dict[str, E.Score]] = {}
     by_config: dict[ModelConfig, dict[str, E.Score]] = {}
     for name, cfg in variants.items():
         if cfg not in by_config:
-            pre_bundles = prepare_pretrain_bundles(suite, data_seed)
             _, shared, _ = pretrain_suite(cfg, pre_bundles, pre_spec, model_seed)
             per_task = {}
-            for raw in suite.heldout:
-                bundle = D.prepare(raw, split_seed=data_seed, setting=setting)
+            for bundle in tasks:
                 asm, _, _ = adapt_to_task(cfg, shared, bundle, cal_spec, ref_spec,
                                           model_seed)
                 per_task[bundle.schema.name] = E.score(asm, bundle, "test")

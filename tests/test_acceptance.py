@@ -202,10 +202,10 @@ def test_criterion_8_preprocessing():
                           rng.standard_normal((1000, 1)),
                           np.empty((1000, 0), dtype=np.int64),
                           rng.standard_normal(1000))
-    s = D.split(big, seed=0)
+    s = D.prepare(big, split_seed=0).splits
     split_ok = (len(s["train"]), len(s["valid"]), len(s["test"])) == (640, 160, 200)
-    limited = D.apply_setting(big, "T-200", seed=1)
-    setting_ok = (len(limited.splits["train"]), len(limited.splits["valid"])) == (200, 50)
+    limited = D.prepare(big, split_seed=0, setting="T-200").splits
+    setting_ok = (len(limited["train"]), len(limited["valid"])) == (200, 50)
     report(8, stats_ok and split_ok and setting_ok,
            f"(mean {out.mean():+.3f}, std {out.std():.3f}, KS {ks:.4f}, "
            f"splits 640/160/200 and 200/50)")

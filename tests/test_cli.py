@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,30 @@ def test_malformed_scores_json_exits_1_with_an_error_line(tmp_path, capsys, text
 
 def test_missing_config_file_exits_2():
     assert main(["pretrain", "--config", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: path.write_bytes(b'{"seed": "\xff"}'), "is not valid JSON"),
+    (lambda path: path.mkdir(), "cannot be read"),
+], ids=["not-utf8", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make, reason):
+    path = tmp_path / "c.json"
+    make(path)
+    assert main(["gen-synth", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config file {path} {reason}" in err and "Traceback" not in err
+
+
+def test_missing_task_csv_exits_1_with_an_error_line(pipeline_dir, tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    shutil.copy(pipeline_dir / "pretrained.ckpt", tmp_path / "run")
+    manifest = tmp_path / "t.manifest.json"
+    manifest.write_text(json.dumps({"name": "t", "task": "regression", "columns": [
+        {"name": "x", "kind": "numeric"}, {"name": "y", "kind": "target"}]}))
+    task = json.dumps([{"csv": str(tmp_path / "absent.csv"), "manifest": str(manifest)}])
+    assert run("calibrate", tmp_path, extra=["--set", f"data.tasks={task}"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "absent.csv: CSV not found" in err and "Traceback" not in err
 
 
 def test_unknown_command_exits_2():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from metafn import data as D
+from metafn import evaluate as E
 from metafn.errors import DataError, UsageError
+from metafn.model import ModelAssembly, ModelConfig
 
 
 def toy_bundle(n=1000, seed=0, task="regression"):
@@ -47,10 +49,22 @@ def test_load_csv_roundtrip_of_small_file(tmp_path):
 
 def test_load_csv_unknown_category_counted(tmp_path):
     p, m = write_csv(tmp_path, "age,color,label\n1,blue,0\n2,red,1\n", MANIFEST)
-    with pytest.warns(UserWarning, match="unknown"):
+    with pytest.warns(UserWarning, match="tiny: 1 categorical values outside"):
         b = D.load_csv(p, m)
-    assert b.unknown_count == 1
     assert b.x_cat[0, 0] == 2  # the unknown bucket
+
+
+def test_load_csv_names_a_missing_csv(tmp_path):
+    _, m = write_csv(tmp_path, "age,color,label\n1,red,0\n", MANIFEST)
+    with pytest.raises(DataError, match=r"absent\.csv: CSV not found"):
+        D.load_csv(tmp_path / "absent.csv", m)
+
+
+def test_load_csv_names_an_undecodable_csv(tmp_path):
+    p, m = write_csv(tmp_path, "", MANIFEST)
+    p.write_bytes(b"age,color,label\n1,r\xffd,0\n")
+    with pytest.raises(DataError, match=r"d\.csv: not valid UTF-8"):
+        D.load_csv(p, m)
 
 
 def test_load_csv_header_mismatch_names_column(tmp_path):
@@ -99,22 +113,22 @@ def test_schema_validation():
                                  D.Column("y", "target")])
 
 
+def sizes(bundle):
+    return {k: v.size for k, v in bundle.splits.items()}
+
+
 def test_split_arithmetic_1000():
-    b = toy_bundle(1000)
-    s = D.split(b, seed=0)
-    assert len(s["train"]) == 640 and len(s["valid"]) == 160 and len(s["test"]) == 200
+    assert sizes(D.prepare(toy_bundle(1000), split_seed=0)) == {
+        "test": 200, "valid": 160, "train": 640}
 
 
 def test_split_arithmetic_10_rows():
-    b = toy_bundle(10)
-    s = D.split(b, seed=1)
-    assert len(s["test"]) == 2 and len(s["valid"]) == 1 and len(s["train"]) == 7
+    assert sizes(D.prepare(toy_bundle(10), split_seed=1)) == {"test": 2, "valid": 1, "train": 7}
 
 
 def test_split_deterministic_and_disjoint():
-    b1, b2 = toy_bundle(137, seed=5), toy_bundle(137, seed=5)
-    s1 = D.split(b1, seed=9)
-    s2 = D.split(b2, seed=9)
+    s1 = D.prepare(toy_bundle(137, seed=5), split_seed=9).splits
+    s2 = D.prepare(toy_bundle(137, seed=5), split_seed=9).splits
     for k in s1:
         np.testing.assert_array_equal(s1[k], s2[k])
     allidx = np.concatenate(list(s1.values()))
@@ -122,39 +136,36 @@ def test_split_deterministic_and_disjoint():
 
 
 def test_split_too_few_rows():
-    with pytest.raises(DataError):
-        D.split(toy_bundle(4), seed=0)
+    with pytest.raises(DataError, match="at least 5 rows"):
+        D.prepare(toy_bundle(4), split_seed=0)
 
 
 def test_apply_setting_caps():
     b = toy_bundle(1000)
-    D.split(b, seed=0)
-    t200 = D.apply_setting(b, "T-200", seed=1)
-    assert t200.split_sizes() == {"test": 200, "valid": 50, "train": 200}
-    tfull = D.apply_setting(b, "T-full", seed=1)
-    assert tfull.split_sizes() == b.split_sizes()
+    full = D.prepare(b, split_seed=0)
+    t200 = D.prepare(b, split_seed=0, setting="T-200")
+    assert sizes(t200) == {"test": 200, "valid": 50, "train": 200}
+    np.testing.assert_array_equal(t200.splits["test"], full.splits["test"])
+    for k in ("train", "valid"):   # a cap subsamples its own split
+        assert np.isin(t200.splits[k], full.splits[k]).all()
     # caps larger than the split leave it whole
     small = toy_bundle(23)
-    D.split(small, seed=0)
-    t20 = D.apply_setting(small, "T-20", seed=2)
-    assert t20.split_sizes()["train"] == min(20, b.split_sizes()["train"],
-                                             small.split_sizes()["train"])
+    t20 = D.prepare(small, split_seed=0, setting="T-20")
+    assert sizes(t20) == sizes(D.prepare(small, split_seed=0)) == {
+        "test": 4, "valid": 3, "train": 16}
 
 
 def test_apply_setting_subsets_vary_with_seed():
     b = toy_bundle(1000)
-    D.split(b, seed=0)
-    a = D.apply_setting(b, "T-100", seed=1).splits["train"]
-    c = D.apply_setting(b, "T-100", seed=2).splits["train"]
+    a = D.prepare(b, split_seed=1, setting="T-100").splits["train"]
+    c = D.prepare(b, split_seed=2, setting="T-100").splits["train"]
     assert not np.array_equal(a, c)
-    assert np.array_equal(a, D.apply_setting(b, "T-100", seed=1).splits["train"])
+    assert np.array_equal(a, D.prepare(b, split_seed=1, setting="T-100").splits["train"])
 
 
 def test_unknown_setting_is_usage_error():
-    b = toy_bundle(100, seed=6)
-    D.split(b, seed=0)
     with pytest.raises(UsageError, match="T-99"):
-        D.apply_setting(b, "T-99", seed=0)
+        D.prepare(toy_bundle(100, seed=6), split_seed=0, setting="T-99")
 
 
 def test_quantile_plotting_positions():
@@ -187,56 +198,52 @@ def test_quantile_normality_of_uniform_sample():
 
 def test_transforms_never_see_valid_or_test():
     b = toy_bundle(500, seed=3)
-    D.split(b, seed=4)
-    D.fit_transforms(b, seed=5)
-    train = b.splits["train"]
-    shrunk = D.DatasetBundle(b.schema, b.x_num[train], b.x_cat[train], b.y[train])
-    shrunk.splits = {"train": np.arange(train.size),
-                     "valid": np.empty(0, dtype=int), "test": np.empty(0, dtype=int)}
-    D.fit_transforms(shrunk, seed=5)
-    for t1, t2 in zip(b.transforms, shrunk.transforms):
+    out = D.prepare(b, split_seed=4, setting="T-200")
+    held = np.setdiff1d(np.arange(b.n_rows), out.splits["train"])
+    changed = D.DatasetBundle(b.schema, b.x_num.copy(), b.x_cat, b.y.copy())
+    changed.x_num[held] = 100.0 + np.arange(held.size)[:, None]
+    changed.y[held] = -50.0
+    again = D.prepare(changed, split_seed=4, setting="T-200")
+    for t1, t2 in zip(out.transforms, again.transforms, strict=True):
         np.testing.assert_array_equal(t1.knots_x, t2.knots_x)
+    assert (again.target_mean, again.target_std) == (out.target_mean, out.target_std)
 
 
 def test_standardize_targets_examples():
-    b = toy_bundle(10)
-    b.y = np.arange(10, dtype=float)
-    b.splits = {"train": np.array([0, 2]), "valid": np.array([1]),
-                "test": np.array([3])}
-    b.y[0], b.y[2] = 0.0, 2.0
-    D.standardize_targets(b)
-    assert b.target_mean == 1.0 and b.target_std == 1.0
-    b.transforms = []
-    _, _, y = D.matrices(b, "train")
-    np.testing.assert_allclose(y, [-1.0, 1.0])
+    b = toy_bundle(11)
+    train = D.prepare(b, split_seed=0).splits["train"]
+    b.y = np.full(11, 7.0)
+    b.y[train] = [0.0, 2.0] * 4
+    out = D.prepare(b, split_seed=0)
+    assert out.target_mean == 1.0 and out.target_std == 1.0
+    _, _, y = D.matrices(out, "train")
+    np.testing.assert_array_equal(y, [-1.0, 1.0] * 4)
+    _, _, y = D.matrices(out, "test")
+    np.testing.assert_array_equal(y, [6.0, 6.0])
 
 
 def test_standardize_already_standardized_is_identity():
-    rng = np.random.default_rng(20)
     b = toy_bundle(500, seed=20)
-    D.split(b, seed=21)
-    train_y = b.y[b.splits["train"]]
+    train_y = b.y[D.prepare(b, split_seed=21).splits["train"]]
     b.y = (b.y - train_y.mean()) / train_y.std()
-    D.standardize_targets(b)
-    assert abs(b.target_mean) < 1e-12 and abs(b.target_std - 1.0) < 1e-12
-    b.transforms = []
-    _, _, y = D.matrices(b, "train")
-    np.testing.assert_allclose(y, b.y[b.splits["train"]], atol=1e-12)
+    out = D.prepare(b, split_seed=21)
+    assert abs(out.target_mean) < 1e-12 and abs(out.target_std - 1.0) < 1e-12
+    _, _, y = D.matrices(out, "train")
+    np.testing.assert_allclose(y, b.y[out.splits["train"]], atol=1e-12)
 
 
 def test_standardize_constant_target_is_error():
     b = toy_bundle(10)
     b.y = np.ones(10)
-    D.split(b, seed=0)
-    with pytest.raises(DataError):
-        D.standardize_targets(b)
+    with pytest.raises(DataError, match="constant"):
+        D.prepare(b, split_seed=0)
 
 
 def test_standardize_binary_is_noop():
-    b = toy_bundle(10, task="binary")
-    D.split(b, seed=0)
-    out = D.standardize_targets(b)
-    assert out.target_mean is None
+    b = D.prepare(toy_bundle(10, task="binary"), split_seed=0)
+    assert b.target_mean is None and b.target_std is None
+    _, _, y = D.matrices(b, "train")
+    np.testing.assert_array_equal(y, b.y[b.splits["train"]])
 
 
 def test_synth_suite_deterministic():
@@ -254,17 +261,13 @@ def test_synth_oracle_attains_noise_floor():
     spec = D.SynthSuiteSpec(seed=12, n_pretrain=2, rows_per_dataset=2000,
                             n_heldout=1, noise_std=0.1)
     suite = D.generate_synth_suite(spec)
-    b = suite.pretrain[0]
-    D.split(b, seed=0)
-    mse = suite.oracle_mse(b)
+    mse = suite.oracle_mse(D.prepare(suite.pretrain[0], split_seed=0))
     assert 0.8 * 0.01 <= mse <= 1.2 * 0.01
     # zero noise: the oracle is exact
     spec0 = D.SynthSuiteSpec(seed=13, n_pretrain=2, rows_per_dataset=100,
                              n_heldout=1, noise_std=0.0)
     s0 = D.generate_synth_suite(spec0)
-    b0 = s0.pretrain[0]
-    D.split(b0, seed=0)
-    assert s0.oracle_mse(b0) < 1e-24
+    assert s0.oracle_mse(D.prepare(s0.pretrain[0], split_seed=0)) < 1e-24
 
 
 def test_synth_mixtures_on_simplex():
@@ -299,13 +302,27 @@ def test_prepare_pipeline_and_matrices():
     assert x.shape == (100, 2) and xc.shape == (100, 0) and y.shape == (100,)
     assert abs(float(y.mean())) < 1e-9  # standardized on this split
     np.testing.assert_allclose(float(y.std()), 1.0, atol=1e-9)
+    with pytest.raises(UsageError, match="unknown split 'holdout'"):
+        D.matrices(out, "holdout")
 
 
 def test_prepare_leaves_its_input_unsplit():
     raw = toy_bundle(100, seed=6)
     out = D.prepare(raw, split_seed=0, setting="T-20")
     assert raw.splits is None and raw.transforms is None
-    assert out.split_sizes() == {"test": 20, "valid": 5, "train": 20}
+    assert sizes(out) == {"test": 20, "valid": 5, "train": 20}
+
+
+@pytest.mark.parametrize("use", [
+    lambda suite, raw: D.matrices(raw, "train"),
+    lambda suite, raw: E.score(ModelAssembly(ModelConfig(d=8, n_blocks=1), seed=0), raw, "test"),
+    lambda suite, raw: suite.oracle_mse(raw),
+], ids=["matrices", "score", "oracle_mse"])
+def test_a_raw_bundle_is_not_prepared(use):
+    suite = D.generate_synth_suite(D.SynthSuiteSpec(seed=3, n_pretrain=2, rows_per_dataset=20,
+                                                    n_heldout=1, heldout_rows=20))
+    with pytest.raises(UsageError, match="'synth_pre_00' is not prepared: split"):
+        use(suite, suite.pretrain[0])
 
 
 def test_matrices_of_an_empty_split_keep_the_numeric_width():
