@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, check_choice
+from .errors import CheckpointError, ConfigError, check_choice, read_file
 from .model import DatasetSignature, ModelAssembly, ModelConfig
 from .training import PHASES
 
@@ -86,7 +86,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        blob = Path(path).read_bytes()
+        blob = read_file(path, CheckpointError, "checkpoint")
         view = memoryview(blob)
         pos = 0
 

@@ -25,7 +25,7 @@ from . import training as TR
 from . import workflow as W
 from .checkpoint import Checkpoint, assembly_from_checkpoint, checkpoint_from_assembly
 from .config import RunConfig
-from .errors import ConfigError, DataError, MetafnError, UsageError
+from .errors import ConfigError, DataError, MetafnError, UsageError, read_json
 from .model import ModelAssembly
 
 def _log(msg: str) -> None:
@@ -40,10 +40,9 @@ def _provenance(cfg: RunConfig, command: str, artifact: Path) -> None:
                     encoding="utf-8")
 
 
-def _suite(cfg: RunConfig, out: Path) -> D.SynthSuite:
+def _suite(cfg: RunConfig) -> D.SynthSuite:
+    """The exported suite ``data.suite_dir`` names, else the one ``data.synth`` generates."""
     suite_dir = cfg.raw["data"]["suite_dir"]
-    if suite_dir is None and (out / "suite" / "suite.json").exists():
-        suite_dir = out / "suite"
     if suite_dir is not None:
         return D.load_suite(suite_dir)
     return D.generate_synth_suite(cfg.synth_spec())
@@ -51,7 +50,7 @@ def _suite(cfg: RunConfig, out: Path) -> D.SynthSuite:
 
 def _tasks(cfg: RunConfig, out: Path):
     """Yield (setting, prepared task, task directory) for every task and setting."""
-    raws = list(_suite(cfg, out).heldout)
+    raws = list(_suite(cfg).heldout)
     raws += [D.load_csv(entry["csv"], entry["manifest"])
              for entry in cfg.raw["data"]["tasks"]]
     for raw in raws:
@@ -92,7 +91,7 @@ def cmd_gen_synth(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_pretrain(cfg: RunConfig, out: Path) -> None:
-    bundles = W.prepare_pretrain_bundles(_suite(cfg, out), cfg.seed)
+    bundles = W.prepare_pretrain_bundles(_suite(cfg), cfg.seed)
     _, ckpt, log = W.pretrain_suite(cfg.model_config(), bundles,
                                     cfg.phase_spec("pretrain"), cfg.seed)
     ckpt_path = out / "pretrained.ckpt"
@@ -152,11 +151,7 @@ def cmd_report(cfg: RunConfig, out: Path) -> None:
     scores_path = out / "scores.json"
     if not scores_path.exists():
         raise UsageError(f"missing {scores_path}; run eval first")
-    try:
-        table = E.ScoreTable.from_dict(json.loads(scores_path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise DataError(f"{scores_path}: malformed score table "
-                        f"({type(exc).__name__}: {exc})") from None
+    table = read_json(scores_path, DataError, "score table", E.ScoreTable.from_dict)
     report_prefix = out / "report"
     E.build_report({"main": table}, report_prefix)
     _provenance(cfg, "report", report_prefix.with_suffix(".json"))

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .data import SETTINGS, SynthSuiteSpec
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, read_json
 from .model import ModelConfig
 from .training import DEFAULT_EPOCHS, PhaseSpec, default_calibrate_epochs
 
@@ -108,17 +108,7 @@ class RunConfig:
     def load(cls, path: str | None, overrides: list[str] = ()) -> "RunConfig":
         cfg = copy.deepcopy(DEFAULTS)
         if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    user = json.load(fh)
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {path}") from None
-            except OSError as exc:      # a directory, unreadable, ...
-                raise ConfigError(f"config file {path} cannot be read: "
-                                  f"{exc.strerror}") from None
-            except ValueError as exc:   # not UTF-8 or not JSON
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-            cfg = _deep_merge(cfg, user)
+            cfg = read_json(path, ConfigError, "config file", partial(_deep_merge, cfg))
         for text in overrides:
             key, value = parse_override(text)
             for part in reversed(key.split(".")):

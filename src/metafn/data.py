@@ -15,6 +15,7 @@ weights.  The recorded true mixture gives a noise-floor oracle.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DataError, UsageError, check_int, check_real
+from .errors import DataError, UsageError, check_int, check_real, read_file, read_json
 from .model import DatasetSignature
 
 PROB_CLIP = 1e-7
@@ -215,18 +216,7 @@ def de_standardize_mse(bundle: DatasetBundle, standardized_mse: float) -> float:
 
 
 def load_manifest(path) -> Schema:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: manifest not found") from None
-    except ValueError as exc:   # not UTF-8 or not JSON
-        raise DataError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return Schema.from_dict(meta)
-    except (KeyError, TypeError, DataError) as exc:
-        raise DataError(f"{path}: malformed manifest "
-                        f"({type(exc).__name__}: {exc})") from None
+    return read_json(path, DataError, "manifest", Schema.from_dict)
 
 
 def _finite(text: str, csv_path, r: int, column: str) -> float:
@@ -245,12 +235,10 @@ def load_csv(csv_path, manifest_path) -> DatasetBundle:
     """Parse a CSV against its manifest into an unfitted bundle."""
     schema = load_manifest(manifest_path)
     try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise DataError(f"{csv_path}: CSV not found") from None
-    except ValueError as exc:   # not UTF-8
+        text = read_file(csv_path, DataError, "CSV").decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not valid UTF-8: {exc}") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DataError(f"{csv_path}: file is empty")
     header, rows = rows[0], rows[1:]
@@ -428,17 +416,24 @@ def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
             for _ in range(spec.n_basis_functions)]
 
 
+def _synth_name(kind: str, i: int, count: int) -> str:
+    """Name ``i`` of ``count``, zero-padded to the widest index (2 digits at least),
+    so that an exported suite's sorted file names keep the generation order."""
+    width = max(2, len(str(count - 1)))
+    return f"synth_{kind}_{i:0{width}d}"
+
+
 def generate_synth_suite(spec: SynthSuiteSpec) -> SynthSuite:
     """Deterministically build pretraining and held-out bundles from the spec."""
     basis = _basis_functions(spec)
     keys = np.random.SeedSequence(spec.seed).spawn(2 + spec.n_pretrain + spec.n_heldout)
     pretrain = [
-        _synth_bundle(f"synth_pre_{i:02d}", spec, basis, spec.rows_per_dataset,
-                      np.random.default_rng(keys[2 + i]))
+        _synth_bundle(_synth_name("pre", i, spec.n_pretrain), spec, basis,
+                      spec.rows_per_dataset, np.random.default_rng(keys[2 + i]))
         for i in range(spec.n_pretrain)]
     heldout = [
-        _synth_bundle(f"synth_task_{i:02d}", spec, basis, spec.heldout_rows,
-                      np.random.default_rng(keys[2 + spec.n_pretrain + i]))
+        _synth_bundle(_synth_name("task", i, spec.n_heldout), spec, basis,
+                      spec.heldout_rows, np.random.default_rng(keys[2 + spec.n_pretrain + i]))
         for i in range(spec.n_heldout)]
     return SynthSuite(spec, basis, pretrain, heldout)
 
@@ -461,21 +456,14 @@ def export_suite(suite: SynthSuite, out_dir) -> None:
 def load_suite(suite_dir) -> SynthSuite:
     """Re-read an exported suite; basis functions are rebuilt from the spec seed."""
     root = Path(suite_dir)
-    path = root / "suite.json"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{suite_dir}: not a suite directory (missing suite.json)") from None
-    except ValueError as exc:   # not UTF-8 or not JSON
-        raise DataError(f"{path}: not valid JSON: {exc}") from None
-    try:
+
+    def parse(meta):
         spec = SynthSuiteSpec(**meta["spec"])
         mixtures = {name: np.array([float(v) for v in mix])
                     for name, mix in dict(meta["mixtures"]).items()}
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"{path}: malformed suite description "
-                        f"({type(exc).__name__}: {exc})") from None
+        return spec, mixtures
+
+    spec, mixtures = read_json(root / "suite.json", DataError, "suite description", parse)
 
     def read(sub):
         out = []

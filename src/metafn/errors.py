@@ -1,6 +1,8 @@
-"""Exception taxonomy shared across the package, and the value checks that raise it."""
+"""Exception taxonomy, the value checks that raise it, and the one input-file reader."""
 
+import json
 import math
+from pathlib import Path
 
 
 class MetafnError(Exception):
@@ -45,3 +47,27 @@ def check_choice(key: str, value, choices: tuple) -> None:
     if value not in choices:
         raise ConfigError(f"{key} must be one of {', '.join(map(repr, choices))}, "
                           f"not {value!r}")
+
+
+def read_file(path, error: type[MetafnError], what: str) -> bytes:
+    """The bytes of ``path``; any failure to read them raises ``error`` naming the file."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise error(f"{path}: {what} not found") from None
+    except OSError as exc:      # a directory, no permission, ...
+        raise error(f"{path}: {what} cannot be read: {exc.strerror}") from None
+
+
+def read_json(path, error: type[MetafnError], what: str, parse=lambda doc: doc):
+    """``parse`` of the UTF-8 JSON document at ``path``; every fault raises ``error``."""
+    blob = read_file(path, error, what)
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:   # not UTF-8 or not JSON
+        raise error(f"{path}: {what} is not valid JSON "
+                    f"({type(exc).__name__}: {exc})") from None
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, AttributeError, MetafnError) as exc:
+        raise error(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None

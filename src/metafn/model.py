@@ -241,11 +241,6 @@ class ParamPartition:
     def shared(self) -> dict[str, Parameter]:
         return {**self.shared_norm, **self.shared_rest}
 
-    @property
-    def calibratable(self) -> dict[str, Parameter]:
-        """What task calibration is allowed to train."""
-        return {**self.dataset, **self.shared_norm}
-
 
 def _dataset_seed(base_seed: int, name: str) -> np.random.SeedSequence:
     digest = hashlib.sha256(name.encode("utf-8")).digest()

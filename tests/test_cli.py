@@ -183,6 +183,34 @@ def test_malformed_scores_json_exits_1_with_an_error_line(tmp_path, capsys, text
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command,name", [
+    ("report", "run/scores.json"),
+    ("export-coeffs", "run/pretrained.ckpt"),
+    ("pretrain", "suite"),
+], ids=["scores-json-is-a-directory", "checkpoint-is-a-directory", "suite-dir-is-a-file"])
+def test_an_unreadable_input_exits_1_with_one_error_line(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    if command == "pretrain":
+        path.write_text("{}")
+        extra = ["--set", f"data.suite_dir={path}"]
+    else:
+        path.mkdir(parents=True)
+        extra = []
+    assert run(command, tmp_path, extra=extra) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0] and "Traceback" not in err
+
+
+def test_pretrain_reads_the_suite_its_config_names_not_an_exported_one(tmp_path):
+    seed5 = ["--set", "data.synth.seed=5"]
+    assert run("gen-synth", tmp_path / "exported") == 0
+    assert run("pretrain", tmp_path / "exported", extra=seed5) == 0
+    assert run("pretrain", tmp_path / "fresh", extra=seed5) == 0
+    assert ((tmp_path / "exported" / "run" / "pretrained.ckpt").read_bytes()
+            == (tmp_path / "fresh" / "run" / "pretrained.ckpt").read_bytes())
+
+
 def test_missing_config_file_exits_2():
     assert main(["pretrain", "--config", "/nonexistent.json"]) == 2
 
@@ -196,7 +224,7 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, make, reason):
     make(path)
     assert main(["gen-synth", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"error: config file {path} {reason}" in err and "Traceback" not in err
+    assert f"error: {path}: config file {reason}" in err and "Traceback" not in err
 
 
 def test_missing_task_csv_exits_1_with_an_error_line(pipeline_dir, tmp_path, capsys):

@@ -5,7 +5,10 @@ import pytest
 
 from metafn import data as D
 from metafn import evaluate as E
-from metafn.errors import DataError, UsageError
+from metafn.checkpoint import Checkpoint
+from metafn.cli import cmd_report
+from metafn.config import RunConfig
+from metafn.errors import CheckpointError, ConfigError, DataError, UsageError
 from metafn.model import ModelAssembly, ModelConfig
 
 
@@ -381,3 +384,84 @@ def test_load_manifest_rejects_a_malformed_manifest_naming_it(tmp_path, text):
 def test_load_manifest_names_a_missing_manifest(tmp_path):
     with pytest.raises(DataError, match=r"absent\.manifest\.json: manifest not found"):
         D.load_manifest(tmp_path / "absent.manifest.json")
+
+
+def test_an_exported_suite_of_101_tables_loads_in_generation_order(tmp_path):
+    spec = D.SynthSuiteSpec(seed=3, n_pretrain=101, rows_per_dataset=10,
+                            n_heldout=1, heldout_rows=10)
+    suite = D.generate_synth_suite(spec)
+    D.export_suite(suite, tmp_path)
+    names = [b.schema.name for b in suite.pretrain]
+    assert [b.schema.name for b in D.load_suite(tmp_path).pretrain] == names
+    assert names[:2] == ["synth_pre_000", "synth_pre_001"] and names[-1] == "synth_pre_100"
+    assert [b.schema.name for b in suite.heldout] == ["synth_task_00"]
+
+
+# -- every input file is read through errors.read_file / read_json -------------
+
+
+def _input(kind, tmp_path):
+    """Where an input of ``kind`` lives and a call that reads it, as its library caller does."""
+    path = tmp_path / {"config": "c.json", "manifest": "d.manifest.json", "CSV": "d.csv",
+                       "suite": "suite.json", "checkpoint": "m.ckpt",
+                       "score table": "scores.json"}[kind]
+    manifest = tmp_path / "ok.manifest.json"
+    manifest.write_text(json.dumps(MANIFEST))
+    return path, {
+        "config": lambda: RunConfig.load(str(path)),
+        "manifest": lambda: D.load_manifest(path),
+        "CSV": lambda: D.load_csv(path, manifest),
+        "suite": lambda: D.load_suite(tmp_path),
+        "checkpoint": lambda: Checkpoint.load(path),
+        "score table": lambda: cmd_report(RunConfig.load(None), tmp_path),
+    }[kind]
+
+
+FAULTS = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b'{"name": "\xff"}'),
+    "not-json": lambda path: path.write_text("{not json"),
+    "malformed": lambda path: path.write_text("[]" if path.suffix == ".json" else "colour\n1\n"),
+}
+
+
+READER_CASES = [   # (input, fault, library error, message after "<path>: ")
+    ("config", "missing", ConfigError, "config file not found"),
+    ("config", "directory", ConfigError, "config file cannot be read: Is a directory"),
+    ("config", "not-utf8", ConfigError, "config file is not valid JSON (UnicodeDecodeError"),
+    ("config", "not-json", ConfigError, "config file is not valid JSON (JSONDecodeError"),
+    ("config", "malformed", ConfigError, "malformed config file (ConfigError"),
+    ("manifest", "missing", DataError, "manifest not found"),
+    ("manifest", "directory", DataError, "manifest cannot be read: Is a directory"),
+    ("manifest", "not-utf8", DataError, "manifest is not valid JSON (UnicodeDecodeError"),
+    ("manifest", "not-json", DataError, "manifest is not valid JSON (JSONDecodeError"),
+    ("manifest", "malformed", DataError, "malformed manifest (TypeError"),
+    ("CSV", "missing", DataError, "CSV not found"),
+    ("CSV", "directory", DataError, "CSV cannot be read: Is a directory"),
+    ("CSV", "not-utf8", DataError, "not valid UTF-8"),
+    ("CSV", "malformed", DataError, "header does not match manifest"),
+    ("suite", "missing", DataError, "suite description not found"),
+    ("suite", "directory", DataError, "suite description cannot be read: Is a directory"),
+    ("suite", "not-utf8", DataError, "suite description is not valid JSON (UnicodeDecodeError"),
+    ("suite", "not-json", DataError, "suite description is not valid JSON (JSONDecodeError"),
+    ("suite", "malformed", DataError, "malformed suite description (TypeError"),
+    ("checkpoint", "missing", CheckpointError, "checkpoint not found"),
+    ("checkpoint", "directory", CheckpointError, "checkpoint cannot be read: Is a directory"),
+    ("checkpoint", "malformed", CheckpointError, "not a checkpoint file"),
+    ("score table", "directory", DataError, "score table cannot be read: Is a directory"),
+    ("score table", "not-utf8", DataError, "score table is not valid JSON (UnicodeDecodeError"),
+    ("score table", "not-json", DataError, "score table is not valid JSON (JSONDecodeError"),
+    ("score table", "malformed", DataError, "malformed score table (TypeError"),
+]
+
+
+@pytest.mark.parametrize("kind,fault,error,message", READER_CASES,
+                         ids=[f"{k.replace(' ', '-')}-{f}" for k, f, *_ in READER_CASES])
+def test_every_input_file_fault_is_the_library_error_naming_the_file(
+        tmp_path, kind, fault, error, message):
+    path, read = _input(kind, tmp_path)
+    FAULTS[fault](path)
+    with pytest.raises(error) as exc:
+        read()
+    assert str(exc.value).startswith(f"{path}: {message}")

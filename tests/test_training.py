@@ -442,7 +442,8 @@ def test_calibrate_divergence_restores_best_snapshot(suite, monkeypatch):
     assert log.diverged
     assert [e.valid_metric for e in log.entries] == scripted[1:]
     assert (log.best_epoch, log.best_metric) == (2, 0.5)
-    trainable = asm.partition_parameters(bundle.schema.name).calibratable
+    part = asm.partition_parameters(bundle.schema.name)
+    trainable = {**part.dataset, **part.shared_norm}
     best = at_validation[2]
     assert any(not np.array_equal(at_nan[0][n], best[n]) for n in trainable)
     for n in trainable:
@@ -470,7 +471,8 @@ def test_calibrate_keeps_the_first_best_epoch_of_a_higher_is_better_metric(suite
     assert not log.diverged
     assert [e.valid_metric for e in log.entries] == scripted[1:]
     assert (log.best_epoch, log.best_metric) == (2, 0.9)
-    trainable = asm.partition_parameters(bundle.schema.name).calibratable
+    part = asm.partition_parameters(bundle.schema.name)
+    trainable = {**part.dataset, **part.shared_norm}
     best = at_validation[2]
     assert any(not np.array_equal(at_validation[4][n], best[n]) for n in trainable)
     for n in trainable:
@@ -498,7 +500,8 @@ def test_phase_restores_requires_grad_when_it_raises(suite, monkeypatch):
     monkeypatch.setattr(TR, "compute_loss", failing)
     with pytest.raises(RuntimeError, match="loss failed"):
         TR.calibrate(asm, bundle, TR.PhaseSpec("calibrate", epochs=2, seed=4))
-    assert seen == [set(asm.partition_parameters(bundle.schema.name).calibratable)]
+    part = asm.partition_parameters(bundle.schema.name)
+    assert seen == [{*part.dataset, *part.shared_norm}]
     assert all(p.requires_grad for p in asm.parameters().values())
 
 
