@@ -418,7 +418,7 @@ def _basis_functions(spec: SynthSuiteSpec) -> list[BasisFunction]:
 
 def _synth_name(kind: str, i: int, count: int) -> str:
     """Name ``i`` of ``count``, zero-padded to the widest index (2 digits at least),
-    so that an exported suite's sorted file names keep the generation order."""
+    so that the names sort in generation order."""
     width = max(2, len(str(count - 1)))
     return f"synth_{kind}_{i:0{width}d}"
 
@@ -439,11 +439,16 @@ def generate_synth_suite(spec: SynthSuiteSpec) -> SynthSuite:
 
 
 def export_suite(suite: SynthSuite, out_dir) -> None:
-    """Write every bundle as CSV + manifest, plus a suite.json with provenance."""
+    """Write every bundle as CSV + manifest, plus a suite.json with provenance.
+
+    suite.json lists the tables of each part in generation order; ``load_suite``
+    reads exactly those.
+    """
     out = Path(out_dir)
-    meta = {"spec": asdict(suite.spec), "mixtures": {}}
+    meta = {"spec": asdict(suite.spec), "mixtures": {}, "tables": {}}
     for sub, bundles in (("pretrain", suite.pretrain), ("heldout", suite.heldout)):
         (out / sub).mkdir(parents=True, exist_ok=True)
+        meta["tables"][sub] = [b.schema.name for b in bundles]
         for b in bundles:
             save_csv(b, out / sub / f"{b.schema.name}.csv",
                      out / sub / f"{b.schema.name}.manifest.json")
@@ -454,22 +459,32 @@ def export_suite(suite: SynthSuite, out_dir) -> None:
 
 
 def load_suite(suite_dir) -> SynthSuite:
-    """Re-read an exported suite; basis functions are rebuilt from the spec seed."""
+    """Re-read the tables an exported suite.json lists, in its order.
+
+    Other files in the suite directory are ignored.  Basis functions are
+    rebuilt from the spec seed.
+    """
     root = Path(suite_dir)
 
     def parse(meta):
         spec = SynthSuiteSpec(**meta["spec"])
         mixtures = {name: np.array([float(v) for v in mix])
                     for name, mix in dict(meta["mixtures"]).items()}
-        return spec, mixtures
+        if "tables" not in meta:
+            raise ValueError("no 'tables' list; export the suite again")
+        tables = {sub: meta["tables"][sub] for sub in ("pretrain", "heldout")}
+        if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
+                   for names in tables.values()):
+            raise TypeError("'tables' must list the names of each part")
+        return spec, mixtures, tables
 
-    spec, mixtures = read_json(root / "suite.json", DataError, "suite description", parse)
+    spec, mixtures, tables = read_json(root / "suite.json", DataError,
+                                       "suite description", parse)
 
     def read(sub):
         out = []
-        for path in sorted((root / sub).glob("*.csv")):
-            manifest = path.with_name(path.stem + ".manifest.json")
-            b = load_csv(path, manifest)
+        for name in tables[sub]:
+            b = load_csv(root / sub / f"{name}.csv", root / sub / f"{name}.manifest.json")
             b.true_mixture = mixtures.get(b.schema.name)
             out.append(b)
         return out

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import data as D
 from .errors import DataError, UsageError
@@ -155,13 +154,29 @@ class RankResult:
     std: dict[str, float]
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, smallest first, tied values sharing their mean rank.
+
+    Equal values sit next to each other after a stable sort; a group at
+    0-based positions ``start`` to ``end - 1`` gets ``(start + 1 + end) / 2``,
+    a whole or half number, so the ranks are exact.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
+
+
 def rank_methods(table: ScoreTable) -> RankResult:
     """Per-task method ranks (1 = best, average ties) with mean and std."""
     if len(table.methods) < 2:
         raise UsageError("ranking needs at least two methods")
     if not table.tasks:
         raise UsageError("ranking needs at least one task row")
-    ranks = np.vstack([rankdata(-row, method="average") for row in table.oriented()])
+    ranks = np.vstack([average_ranks(-row) for row in table.oriented()])
     mean = {m: float(ranks[:, j].mean()) for j, m in enumerate(table.methods)}
     std = {m: float(ranks[:, j].std()) for j, m in enumerate(table.methods)}
     return RankResult(list(table.methods), ranks, mean, std)

@@ -213,8 +213,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
 
@@ -224,8 +226,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
 

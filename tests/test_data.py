@@ -350,12 +350,43 @@ def exported_suite_json(tmp_path):
     lambda meta: json.dumps({**meta, "mixtures": {"synth_pre_00": ["x"]}}),
     lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "seed": "seven"}}),
     lambda meta: json.dumps({**meta, "spec": {**meta["spec"], "curvature": 3.0}}),
+    lambda meta: json.dumps({**meta, "tables": {"pretrain": meta["tables"]["pretrain"]}}),
+    lambda meta: json.dumps({**meta, "tables": {**meta["tables"], "heldout": "synth_task_0"}}),
+    lambda meta: json.dumps({**meta, "tables": {**meta["tables"], "heldout": [0]}}),
 ], ids=["not-json", "unknown-spec-key", "missing-spec", "missing-mixtures", "bad-mixture",
-        "mistyped-spec-seed", "removed-spec-key"])
+        "mistyped-spec-seed", "removed-spec-key", "missing-part", "part-not-a-list",
+        "name-not-a-string"])
 def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
     path = exported_suite_json(tmp_path)
     path.write_text(edit(json.loads(path.read_text())))
     with pytest.raises(DataError, match="suite.json"):
+        D.load_suite(tmp_path)
+
+
+def test_load_suite_reads_only_the_listed_tables(tmp_path):
+    exported_suite_json(tmp_path)
+    for suffix in (".csv", ".manifest.json"):   # a stray copy of a listed table
+        (tmp_path / "pretrain" / f"stray{suffix}").write_bytes(
+            (tmp_path / "pretrain" / f"synth_pre_00{suffix}").read_bytes())
+    suite = D.load_suite(tmp_path)
+    assert [b.schema.name for b in suite.pretrain] == ["synth_pre_00", "synth_pre_01"]
+    assert [b.schema.name for b in suite.heldout] == ["synth_task_00"]
+
+
+def test_load_suite_names_a_missing_listed_table(tmp_path):
+    exported_suite_json(tmp_path)
+    (tmp_path / "pretrain" / "synth_pre_01.csv").unlink()
+    with pytest.raises(DataError, match=r"synth_pre_01\.csv: CSV not found"):
+        D.load_suite(tmp_path)
+
+
+def test_a_suite_json_without_its_table_list_must_be_exported_again(tmp_path):
+    path = exported_suite_json(tmp_path)    # as exported before suites listed their tables
+    meta = json.loads(path.read_text())
+    del meta["tables"]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=r"suite\.json: malformed suite description "
+                                        r".*export the suite again"):
         D.load_suite(tmp_path)
 
 

@@ -154,6 +154,18 @@ def test_rank_matches_brute_force_on_1000_random_tables():
             assert got[i].sum() == pytest.approx(n_methods * (n_methods + 1) / 2)
 
 
+def test_average_ranks_equal_scipy_rankdata_bitwise():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 5, 8, 190] * 100:
+        x = rng.integers(0, int(rng.integers(1, 6)), n) * rng.choice([-1.0, 1.0])
+        if rng.random() < 0.3:
+            x = rng.standard_normal(n)      # ties unlikely
+        assert E.average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+    # -0.0 and 0.0 compare equal, so they tie
+    np.testing.assert_array_equal(E.average_ranks(np.array([0.0, -0.0, 1.0])), [1.5, 1.5, 3])
+
+
 def test_rank_and_win_tie_loss_match_brute_force_on_mixed_direction_tables():
     rng = np.random.default_rng(12)
     for _ in range(500):
