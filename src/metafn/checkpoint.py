@@ -16,16 +16,17 @@ Little-endian layout:
 
 Records are written in registry order, so save -> load -> save is
 byte-identical.  Every record's CRC is verified on load and failures
-name the offending entry; a malformed header is rejected naming the
-file.  A save writes a temporary file beside the target and renames it
-over the target, so a failed or interrupted save leaves the previous
-file as it was.
+name the offending entry, as does a name that repeats; a malformed header
+is rejected naming the file.  A save writes a temporary file beside the
+target and renames it over the target, so a failed or interrupted save
+leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import zlib
@@ -127,19 +128,22 @@ class Checkpoint:
         except (TypeError, KeyError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
         (count,) = struct.unpack("<I", take(4, "record count"))
-        records = []
+        records, names = [], set()
         for i in range(count):
             (name_len,) = struct.unpack("<H", take(2, f"record {i} name length"))
             try:
                 name = bytes(take(name_len, f"record {i} name")).decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: record {i} name is not UTF-8") from None
+            if name in names:
+                raise CheckpointError(f"{path}: repeated entry {name!r}")
+            names.add(name)
             tag, ndim = struct.unpack("<BB", take(2, f"{name}: dtype/ndim"))
             if tag != _F64:
                 raise CheckpointError(f"{path}: {name}: unknown dtype tag {tag}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name}: shape"))
             (crc,) = struct.unpack("<I", take(4, f"{name}: checksum"))
-            size = int(np.prod(shape, dtype=np.int64)) * 8
+            size = math.prod(shape) * 8      # Python ints: no overflow
             payload = bytes(take(size, f"{name}: payload"))
             if zlib.crc32(payload) != crc:
                 raise CheckpointError(f"{path}: corrupt payload for entry {name!r}")

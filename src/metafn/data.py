@@ -51,7 +51,10 @@ class Schema:
         targets = [c for c in self.columns if c.kind == "target"]
         if len(targets) != 1:
             raise DataError(f"schema needs exactly one target column, found {len(targets)}")
+        names = [c.name for c in self.columns]
         for c in self.columns:
+            if names.count(c.name) > 1:
+                raise DataError(f"column name {c.name!r} is repeated")
             if c.kind not in ("numeric", "categorical", "target"):
                 raise DataError(f"column {c.name!r} has unknown kind {c.kind!r}")
             if c.kind == "categorical" and not c.vocabulary:
@@ -164,8 +167,8 @@ def prepare(bundle: DatasetBundle, split_seed: int,
     The permutation, the caps and the jitter use separate streams of ``split_seed``.
     """
     n = bundle.n_rows
-    if n < 5:
-        raise DataError(f"need at least 5 rows to split, got {n}")
+    if n < 6:     # the fewest rows whose splits all keep a row
+        raise DataError(f"need at least 6 rows to split, got {n}")
     if setting not in SETTINGS:
         raise UsageError(f"unknown setting {setting!r}; choose from {sorted(SETTINGS)}")
     perm = np.random.default_rng(split_seed).permutation(n)

@@ -237,10 +237,6 @@ class ParamPartition:
     shared_norm: dict[str, Parameter]
     shared_rest: dict[str, Parameter]
 
-    @property
-    def shared(self) -> dict[str, Parameter]:
-        return {**self.shared_norm, **self.shared_rest}
-
 
 def _dataset_seed(base_seed: int, name: str) -> np.random.SeedSequence:
     digest = hashlib.sha256(name.encode("utf-8")).digest()

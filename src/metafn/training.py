@@ -7,9 +7,9 @@ new dataset's tokenizer, head, and context from scratch.  Refinement
 briefly unfreezes everything, and the from-scratch baseline trains every
 parameter on one dataset.
 
-All four phases run one step loop, ``_train``.  A phase hands it a batch
-schedule, a log period, the tables it validates on and one of two rules
-for the state it retains:
+All four phases run one step loop, ``_train``.  A phase hands it the
+parameters it trains, a batch schedule, a log period, the tables it
+validates on and one of two rules for the state it retains:
 
 * best (calibrate, refine, scratch): the initial state and the state at
   every epoch end are candidates, and the one with the best validation
@@ -20,19 +20,17 @@ for the state it retains:
 A non-finite loss stops the loop.  The retained state is restored when
 the loop ends, also when a step raises.
 
-While the loop runs only the parameters the phase trains have
-``requires_grad`` set, so no other parameter takes a gradient; the flags
-are restored when the phase ends, also when it raises.
-
-Dataset-specific parameters follow the warmup/decay schedule; shared
-parameters train at the constant base rate.
+From the parameters a phase trains the loop derives its two AdamW groups,
+dataset-specific ones on the warmup/decay schedule and shared ones at the
+constant base rate, and its freeze: while it runs exactly those parameters
+have ``requires_grad`` set, and every flag is restored when it ends, also
+when it raises.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from math import ceil
 from typing import Iterator
@@ -120,32 +118,22 @@ def _changed(before: dict[str, np.ndarray], after: dict[str, np.ndarray]) -> lis
     return sorted(n for n, arr in after.items() if arr.tobytes() != before[n].tobytes())
 
 
-@contextmanager
-def _trains_only(assembly: ModelAssembly, params: dict[str, Parameter]) -> Iterator[None]:
-    """Let exactly ``params`` collect gradients; restore every flag on exit."""
-    everything = assembly.parameters()
-    prior = {n: p.requires_grad for n, p in everything.items()}
-    for n, p in everything.items():
-        p.requires_grad = n in params
-    try:
-        yield
-    finally:
-        for n, p in everything.items():
-            p.requires_grad = prior[n]
-
-
 Batches = Iterator[tuple[str, np.ndarray]]
 
 
 def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseSpec,
-           log: TrainLog, batches: Batches, total: int, log_every: int, keep_best: bool,
-           scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
+           params: dict[str, Parameter], batches: Batches, total: int, log_every: int,
+           keep_best: bool) -> TrainLog:
     """The step loop of every phase.
 
-    ``batches`` yields ``(dataset name, row indices)`` once per step, the
-    indices counting rows of that bundle's train split.  ``total`` is the
-    length of the learning-rate schedule.  Every ``log_every`` steps, and
-    after step ``total``, the loop validates and logs.  With
+    ``params`` holds what the phase trains.  Its dataset-specific members
+    form the scheduled AdamW group and its shared members the group at the
+    constant ``spec.base_lr``; while the loop runs, exactly ``params`` have
+    ``requires_grad`` set.  ``batches`` yields ``(dataset name, row
+    indices)`` once per step, the indices counting rows of that bundle's
+    train split.  ``total`` is the length of the learning-rate schedule.
+    Every ``log_every`` steps, and after step ``total``, the loop validates
+    and logs.  With
     ``keep_best`` it scores the one table in ``bundles`` (first before any
     step) and retains the best state; otherwise it reports the mean over
     ``bundles`` and retains the latest state.  Each bundle's train and
@@ -153,9 +141,10 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     """
     train = {b.schema.name: D.matrices(b, "train") for b in bundles}
     valid = {b.schema.name: D.matrices(b, "valid") for b in bundles}
-    params = {**scheduled, **constant}
-    opt = AdamW([{"params": list(scheduled.values()), "lr": 0.0},
-                 {"params": list(constant.values()), "lr": spec.base_lr}])
+    shared = assembly.shared_parameters()
+    opt = AdamW([{"params": [p for n, p in params.items() if n not in shared], "lr": 0.0},
+                 {"params": [p for n, p in params.items() if n in shared], "lr": spec.base_lr}])
+    log = TrainLog(phase=spec.phase, dataset=bundles[0].schema.name if keep_best else None)
     tasks = {b.schema.name: b.schema.task for b in bundles}
     kept = before = _snapshot(params)
     kept_epoch, kept_metric = 0, float("nan")
@@ -167,46 +156,50 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     period_start = 0
     lr_ds = 0.0
     t0 = time.perf_counter()
-    with _trains_only(assembly, params):
-        try:
-            for step, (name, idx) in enumerate(batches, start=1):
-                x_num, x_cat, y = train[name]
-                lr_ds = lr_at(step, total, spec.base_lr)
-                opt.groups[0]["lr"] = lr_ds
-                pred = assembly.forward(name, x_num[idx], x_cat[idx])
-                loss = compute_loss(pred, y[idx], tasks[name])
-                value = loss.item()
-                if not np.isfinite(value):
-                    log.diverged = True
-                    break
-                loss.backward()
-                opt.step()
-                opt.zero_grad()
-                losses.append(value)
-                if step % log_every and step != total:
-                    continue
+    flags = [(p, p.requires_grad) for p in assembly.parameters().values()]
+    for p, _ in flags:
+        p.requires_grad = p.name in params
+    try:
+        for step, (name, idx) in enumerate(batches, start=1):
+            x_num, x_cat, y = train[name]
+            lr_ds = lr_at(step, total, spec.base_lr)
+            opt.groups[0]["lr"] = lr_ds
+            pred = assembly.forward(name, x_num[idx], x_cat[idx])
+            loss = compute_loss(pred, y[idx], tasks[name])
+            value = loss.item()
+            if not np.isfinite(value):
+                log.diverged = True
+                break
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+            losses.append(value)
+            if step % log_every and step != total:
+                continue
 
-                scores = [E.score(assembly, b, "valid", matrices=valid[b.schema.name])
-                          for b in bundles]
-                if keep_best:
-                    metric, metric_name = scores[0].value, scores[0].metric
-                else:
-                    metric = float(np.mean([s.value for s in scores]))
-                    metric_name = "mean_valid"
-                snap = _snapshot(params)
-                epoch = len(log.entries) + 1
-                log.entries.append(LogEntry(
-                    epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
-                    valid_metric=metric, metric_name=metric_name,
-                    lr_dataset=lr_ds, lr_shared=spec.base_lr,
-                    wall_time=time.perf_counter() - t0,
-                    changed_params=_changed(before, snap)))
-                before, period_start = snap, len(losses)
-                if not keep_best or (E.oriented(metric_name, metric)
-                                     > E.oriented(metric_name, kept_metric)):
-                    kept, kept_epoch, kept_metric = snap, epoch, metric
-        finally:
-            _restore(params, kept)
+            scores = [E.score(assembly, b, "valid", matrices=valid[b.schema.name])
+                      for b in bundles]
+            if keep_best:
+                metric, metric_name = scores[0].value, scores[0].metric
+            else:
+                metric = float(np.mean([s.value for s in scores]))
+                metric_name = "mean_valid"
+            snap = _snapshot(params)
+            epoch = len(log.entries) + 1
+            log.entries.append(LogEntry(
+                epoch=epoch, train_loss=float(np.mean(losses[period_start:])),
+                valid_metric=metric, metric_name=metric_name,
+                lr_dataset=lr_ds, lr_shared=spec.base_lr,
+                wall_time=time.perf_counter() - t0,
+                changed_params=_changed(before, snap)))
+            before, period_start = snap, len(losses)
+            if not keep_best or (E.oriented(metric_name, metric)
+                                 > E.oriented(metric_name, kept_metric)):
+                kept, kept_epoch, kept_metric = snap, epoch, metric
+    finally:
+        _restore(params, kept)
+        for p, flag in flags:
+            p.requires_grad = flag
     log.best_epoch, log.best_metric = kept_epoch, kept_metric
     log.step_losses = losses
     return log
@@ -244,16 +237,20 @@ def _check_phase(spec: PhaseSpec, phase: str) -> None:
 
 
 def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
-             scheduled: dict[str, Parameter], constant: dict[str, Parameter]) -> TrainLog:
-    """Epochs over one dataset, logged per epoch, best state retained."""
+             norms_only: bool) -> TrainLog:
+    """Epochs over one dataset, logged per epoch, best state retained: trains the
+    dataset's parts, the shared norms and, unless ``norms_only``, the rest."""
     name = bundle.schema.name
+    part = assembly.partition_parameters(name)
+    params = {**part.dataset, **part.shared_norm, **({} if norms_only else part.shared_rest)}
     n = bundle.split_rows("train").size
     steps_per_epoch = max(1, ceil(n / spec.batch_cap))
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
-    return _train(assembly, [bundle], spec, TrainLog(phase=spec.phase, dataset=name),
-                  _epoch_batches(name, n, spec, rng),
-                  total=max(1, spec.epochs * steps_per_epoch), log_every=steps_per_epoch,
-                  keep_best=True, scheduled=scheduled, constant=constant)
+    log = _train(assembly, [bundle], spec, params, _epoch_batches(name, n, spec, rng),
+                 total=max(1, spec.epochs * steps_per_epoch), log_every=steps_per_epoch,
+                 keep_best=True)
+    assembly.dataset_phase[name] = spec.phase
+    return log
 
 
 def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
@@ -262,12 +259,8 @@ def calibrate(assembly: ModelAssembly, bundle: D.DatasetBundle,
     _check_phase(spec, "calibrate")
     if assembly.provenance is None:
         raise UsageError("calibration needs a pretrained (or loaded) shared body")
-    name = assembly.attach_dataset(bundle.schema.signature())
-    part = assembly.partition_parameters(name)
-    log = _fit_one(assembly, bundle, spec,
-                   scheduled=part.dataset, constant=part.shared_norm)
-    assembly.dataset_phase[name] = "calibrate"
-    return log
+    assembly.attach_dataset(bundle.schema.signature())
+    return _fit_one(assembly, bundle, spec, norms_only=True)
 
 
 def refine(assembly: ModelAssembly, bundle: D.DatasetBundle,
@@ -277,25 +270,16 @@ def refine(assembly: ModelAssembly, bundle: D.DatasetBundle,
     name = bundle.schema.name
     if assembly.dataset_phase.get(name) != "calibrate":
         raise UsageError(f"refinement requires calibration of {name!r} first")
-    part = assembly.partition_parameters(name)
-    log = _fit_one(assembly, bundle, spec,
-                   scheduled=part.dataset, constant=part.shared)
-    assembly.dataset_phase[name] = "refine"
-    return log
+    return _fit_one(assembly, bundle, spec, norms_only=False)
 
 
 def train_from_scratch(assembly: ModelAssembly, bundle: D.DatasetBundle,
                        spec: PhaseSpec) -> TrainLog:
     """Supervised baseline: all parameters trainable on one dataset."""
     _check_phase(spec, "scratch")
-    name = bundle.schema.name
-    if name not in assembly.datasets:
+    if bundle.schema.name not in assembly.datasets:
         assembly.attach_dataset(bundle.schema.signature())
-    part = assembly.partition_parameters(name)
-    log = _fit_one(assembly, bundle, spec,
-                   scheduled=part.dataset, constant=part.shared)
-    assembly.dataset_phase[name] = "scratch"
-    return log
+    return _fit_one(assembly, bundle, spec, norms_only=False)
 
 
 def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
@@ -321,12 +305,9 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
     if total <= 0:
         raise UsageError("pretraining needs a positive step count")
 
-    shared_params = assembly.shared_parameters()
-    ds_params = {n: p for n, p in assembly.parameters().items() if n not in shared_params}
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
-    log = _train(assembly, bundles, spec, TrainLog(phase="pretrain"),
+    log = _train(assembly, bundles, spec, assembly.parameters(),
                  _sampled_batches(sizes, spec.batch_cap, total, rng),
-                 total=total, log_every=steps_per_epoch,
-                 keep_best=False, scheduled=ds_params, constant=shared_params)
+                 total=total, log_every=steps_per_epoch, keep_best=False)
     assembly.provenance = "pretrain"
     return log

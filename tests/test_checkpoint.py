@@ -149,6 +149,28 @@ def test_record_name_that_is_not_utf8_names_file_and_record(tmp_path, record):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def test_repeated_record_name_names_file_and_entry(tmp_path):
+    ckpt = checkpoint_from_assembly(make_assembly(), "pretrain")
+    (first, *_), (_, shape, payload) = ckpt.records[0], ckpt.records[-1]
+    ckpt.records[-1] = (first, shape, payload)
+    path = tmp_path / "repeated.ckpt"
+    ckpt.save(path)
+    with pytest.raises(CheckpointError, match=f"repeated entry '{first}'") as err:
+        Checkpoint.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_record_whose_size_overflows_int64_reads_as_truncated(tmp_path):
+    # (2**32 - 1)**4 * 8 bytes is past the int64 range
+    ckpt = checkpoint_from_assembly(make_assembly(), "pretrain")
+    ckpt.records.append(("huge", (2**32 - 1,) * 4, b""))
+    path = tmp_path / "huge.ckpt"
+    ckpt.save(path)
+    with pytest.raises(CheckpointError, match="truncated while reading huge: payload") as err:
+        Checkpoint.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def with_header(blob: bytes, header: bytes) -> bytes:
     (hlen,) = struct.unpack("<I", blob[12:16])
     return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen:]

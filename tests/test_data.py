@@ -139,8 +139,11 @@ def test_split_deterministic_and_disjoint():
 
 
 def test_split_too_few_rows():
-    with pytest.raises(DataError, match="at least 5 rows"):
-        D.prepare(toy_bundle(4), split_seed=0)
+    for n in (4, 5):
+        with pytest.raises(DataError, match=f"at least 6 rows to split, got {n}"):
+            D.prepare(toy_bundle(n), split_seed=0)
+    # the smallest table accepted keeps a row in every split
+    assert sizes(D.prepare(toy_bundle(6), split_seed=0)) == {"test": 1, "valid": 1, "train": 4}
 
 
 def test_apply_setting_caps():
@@ -329,8 +332,9 @@ def test_a_raw_bundle_is_not_prepared(use):
 
 
 def test_matrices_of_an_empty_split_keep_the_numeric_width():
-    b = D.prepare(toy_bundle(5), split_seed=0)
-    assert b.splits["valid"].size == 0
+    # prepare leaves every split a row, so the empty split is made by hand
+    b = D.prepare(toy_bundle(6), split_seed=0)
+    b.splits["valid"] = b.splits["valid"][:0]
     x, xc, y = D.matrices(b, "valid")
     assert x.shape == (0, 2) and xc.shape == (0, 0) and y.shape == (0,)
 
@@ -410,6 +414,16 @@ def test_load_manifest_rejects_a_malformed_manifest_naming_it(tmp_path, text):
         D.load_manifest(man_path)
     with pytest.raises(DataError, match=r"d\.manifest\.json"):
         D.load_csv(csv_path, man_path)
+
+
+def test_load_manifest_rejects_a_repeated_column_name(tmp_path):
+    manifest = {"name": "twice", "task": "regression",
+                "columns": [{"name": "a", "kind": "numeric"}, {"name": "a", "kind": "numeric"},
+                            {"name": "y", "kind": "target"}]}
+    _, man_path = write_csv(tmp_path, "a,a,y\n1.0,2.0,0.5\n", manifest)
+    with pytest.raises(DataError, match=r"d\.manifest\.json: malformed manifest "
+                                        r"\(DataError: column name 'a' is repeated\)"):
+        D.load_manifest(man_path)
 
 
 def test_load_manifest_names_a_missing_manifest(tmp_path):

@@ -30,6 +30,8 @@ HOOKS = [(M, "layer_norm"), (M, "self_attention"), (M, "calinear_ffn_forward"),
          (TR, "compute_loss"), (TR, "AdamW"), (E, "score")]
 CLI_HOOKS = [(W, "pretrain_suite"), (W, "load_shared"), (W, "checkpoint_from_assembly"),
              (TR, "calibrate"), (TR, "refine")]
+LIBRARY_HOOKS = [(TR, "pretrain"), (TR, "train_from_scratch"), (W, "adapt_to_task"),
+                 (W, "scratch_baseline")]
 TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
 
 
@@ -74,4 +76,14 @@ def test_cli_runs_through_the_workflow_hook_points(monkeypatch, tmp_path):
     out = f'output_dir="{tmp_path / "run"}"'
     for command in ("gen-synth", "pretrain", "calibrate", "refine"):
         assert main([command, "--config", str(TINY), "--set", out]) == 0, command
+    assert all(seen.values()), seen
+
+
+def test_transfer_benchmark_runs_through_the_phase_hook_points(monkeypatch):
+    seen = count_calls(monkeypatch, LIBRARY_HOOKS)
+    W.run_transfer_benchmark(D.generate_synth_suite(SUITE_SPEC), CFG,
+                             TR.PhaseSpec("pretrain", epochs=1),
+                             TR.PhaseSpec("calibrate", epochs=1),
+                             TR.PhaseSpec("refine", epochs=1),
+                             setting="T-100", data_seed=0, model_seed=0)
     assert all(seen.values()), seen

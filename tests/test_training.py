@@ -567,3 +567,52 @@ def test_in_memory_refine_matches_checkpoint_round_trip(suite, tmp_path):
         [e.valid_metric for e in ref_log.entries]
     for name, p in in_memory.parameters().items():
         assert p.data.tobytes() == reloaded.parameters()[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "calibrate", "refine", "scratch"])
+def test_each_phase_trains_its_own_parameters_in_two_rate_groups(suite, monkeypatch, phase):
+    # another table is attached besides the one adapted, so a phase that
+    # trained every table's parts would show
+    other = D.prepare(suite.pretrain[0], split_seed=0)
+    bundle = D.prepare(suite.heldout[0], split_seed=0, setting="T-100")
+    asm = ModelAssembly(CFG, seed=0)
+    asm.attach_dataset(other.schema.signature())
+    asm.provenance = "pretrain"
+    groups, flags = [], []
+
+    class Recording(TR.AdamW):
+        def __init__(self, param_groups, *args, **kwargs):
+            super().__init__(param_groups, *args, **kwargs)
+            groups.extend(({p.name for p in g["params"]}, g["lr"]) for g in self.groups)
+
+    real_loss = TR.compute_loss
+
+    def recording_loss(pred, y, task):
+        if not flags:
+            flags.append({n for n, p in asm.parameters().items() if p.requires_grad})
+        return real_loss(pred, y, task)
+
+    monkeypatch.setattr(TR, "AdamW", Recording)
+    monkeypatch.setattr(TR, "compute_loss", recording_loss)
+    spec = TR.PhaseSpec(phase, epochs=1, base_lr=3e-3)
+    if phase == "pretrain":
+        asm.attach_dataset(bundle.schema.signature())
+        TR.pretrain(asm, [other, bundle], spec, steps_total=1)
+        own = set(asm.parameters()) - set(asm.shared_parameters())   # both tables' parts
+        shared = set(asm.shared_parameters())
+    else:
+        if phase == "refine":
+            asm.attach_dataset(bundle.schema.signature())
+            asm.dataset_phase[bundle.schema.name] = "calibrate"
+        phase_function = {"calibrate": TR.calibrate, "refine": TR.refine,
+                          "scratch": TR.train_from_scratch}[phase]
+        phase_function(asm, bundle, spec)
+        part = asm.partition_parameters(bundle.schema.name)
+        own = set(part.dataset)
+        shared = set(part.shared_norm) | (set() if phase == "calibrate"
+                                          else set(part.shared_rest))
+        assert own and not own & set(asm.partition_parameters(other.schema.name).dataset)
+    assert len(groups) == 2
+    assert groups[0][0] == own
+    assert groups[1] == (shared, spec.base_lr)
+    assert flags == [own | shared]
