@@ -16,10 +16,11 @@ Little-endian layout:
 
 Records are written in registry order, so save -> load -> save is
 byte-identical.  Every record's CRC is verified on load and failures
-name the offending entry, as does a name that repeats; a malformed header
-is rejected naming the file.  A save writes a temporary file beside the
-target and renames it over the target, so a failed or interrupted save
-leaves the previous file as it was.
+name the offending entry, as do a name that repeats and a payload that
+holds a NaN or an infinity; a malformed header is rejected naming the
+file.  A save writes a temporary file beside the target, syncs it to disk
+and only then renames it over the target, so a failed or interrupted save,
+or an OS crash, leaves either the previous file or the new one, whole.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ class Checkpoint:
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(b"".join(chunks))
+            with open(tmp, "wb") as fh:
+                fh.write(b"".join(chunks))
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -147,6 +151,8 @@ class Checkpoint:
             payload = bytes(take(size, f"{name}: payload"))
             if zlib.crc32(payload) != crc:
                 raise CheckpointError(f"{path}: corrupt payload for entry {name!r}")
+            if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+                raise CheckpointError(f"{path}: non-finite value in entry {name!r}")
             records.append((name, tuple(shape), payload))
         if pos != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")

@@ -164,7 +164,8 @@ def prepare(bundle: DatasetBundle, split_seed: int,
     80:20 into pool and test, then 20% of the pool becomes validation; the
     setting's caps subsample train and valid, never test.  Quantile maps and,
     for regression, the target mean and std see only the capped train rows.
-    The permutation, the caps and the jitter use separate streams of ``split_seed``.
+    The permutation and the caps each draw from a fresh ``default_rng(split_seed)``,
+    so the caps replay the permutation's stream; the jitter has a stream of its own.
     """
     n = bundle.n_rows
     if n < 6:     # the fewest rows whose splits all keep a row

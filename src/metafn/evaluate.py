@@ -202,7 +202,8 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path)
             layers = assembly.coefficients(name)      # raises for an unattached name
             context = assembly.datasets[name].context
             for layer_idx, coeffs in enumerate(c.data for c in layers):
-                if np.any(coeffs <= 0) or np.max(np.abs(coeffs.sum(axis=1) - 1)) > 1e-9:
+                # written so that a NaN fails it: every comparison with NaN is False
+                if not (np.all(coeffs > 0) and np.max(np.abs(coeffs.sum(axis=1) - 1)) <= 1e-9):
                     raise DataError("coefficient rows left the simplex")
                 for token in range(coeffs.shape[0]):
                     records.append({

@@ -108,7 +108,6 @@ class FeatureTokenizer:
     def __init__(self, sig: DatasetSignature, d: int, rng: np.random.Generator,
                  prefix: str):
         self.sig = sig
-        self.d = d
         bound = 1.0 / np.sqrt(d)
 
         def tok_param(shape, name):
@@ -136,25 +135,19 @@ class FeatureTokenizer:
         x_cat = np.asarray(x_cat, dtype=np.int64)
         if x_num.ndim != 2 or x_cat.ndim != 2 or x_num.shape[0] != x_cat.shape[0]:
             raise DataError("feature matrices must be 2-D with matching row counts")
-        B = x_num.shape[0]
         if x_num.shape[1] != sig.n_numeric or x_cat.shape[1] != sig.n_categorical:
             raise DataError(
                 f"dataset {sig.name!r} expects {sig.n_numeric} numeric and "
                 f"{sig.n_categorical} categorical columns, got "
                 f"{x_num.shape[1]} and {x_cat.shape[1]}")
+        if not np.isfinite(x_num).all():
+            raise DataError(f"non-finite numeric value in dataset {sig.name!r}")
         bad = ((x_cat < 0) | (x_cat > self.cards)).any(axis=0)
         if bad.any():
             raise DataError(f"categorical index out of range in column "
                             f"{int(np.argmax(bad))} of dataset {sig.name!r}")
-
-        tokens = [T.broadcast_to(self.cls.reshape(1, 1, self.d), (B, 1, self.d))]
-        if sig.n_numeric:
-            tokens.append(Tensor(x_num.reshape(B, sig.n_numeric, 1)) * self.num_weight
-                          + self.num_bias)
-        if sig.n_categorical:
-            tokens.append(T.gather_rows(self.cat_table, x_cat + self.cat_offsets)
-                          + self.cat_bias)
-        return T.concat(tokens, axis=1)
+        return T.tokens(x_num, x_cat + self.cat_offsets, self.cls, self.num_weight,
+                        self.num_bias, self.cat_table, self.cat_bias)
 
 
 class OutputHead:

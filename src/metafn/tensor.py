@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -290,30 +290,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward)
 
 
-def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _to_const(a)
-    out_data = np.broadcast_to(a.data, shape)
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = tuple(_to_const(t) for t in tensors)
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(ts, pieces):
-            t._accumulate(piece)
-
-    return Tensor._from_op(out_data, ts, backward)
-
-
 def getitem(a: Tensor, idx) -> Tensor:
     """Basic indexing (ints and slices) with gradient scatter on the way back."""
     a = _to_const(a)
@@ -327,19 +303,45 @@ def getitem(a: Tensor, idx) -> Tensor:
     return Tensor._from_op(np.ascontiguousarray(out_data), (a,), backward)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` (embedding fetch) for an index array of
-    any shape; repeated rows accumulate."""
-    table = _to_const(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[idx]
+def tokens(x_num: np.ndarray, x_idx: np.ndarray, cls: Tensor, num_weight: Tensor | None,
+           num_bias: Tensor | None, cat_table: Tensor | None,
+           cat_bias: Tensor | None) -> Tensor:
+    """FT-Transformer's feature tokens of B rows, as one [B, 1 + n_num + n_cat, d] node.
+
+    Token 0 is ``cls``, numeric feature j gives ``x_num[:, j] * num_weight[j] +
+    num_bias[j]`` and categorical feature j ``cat_table[x_idx[:, j]] + cat_bias[j]``;
+    a table without one kind of feature passes None for its two parameters.
+    Callers validate the shapes.
+    """
+    B, n_num = x_num.shape
+    d = cls.shape[0]
+    out_data = np.empty((B, 1 + n_num + x_idx.shape[1], d))
+    out_data[:, 0] = cls.data
+    num, cat = slice(1, 1 + n_num), slice(1 + n_num, None)
+    x3 = x_num.reshape(B, n_num, 1)
+    if num_weight is not None:
+        np.multiply(x3, num_weight.data, out=out_data[:, num])
+        out_data[:, num] += num_bias.data
+    if cat_table is not None:
+        np.add(cat_table.data[x_idx], cat_bias.data, out=out_data[:, cat])
 
     def backward(g):
-        full = np.zeros(table.shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        table._accumulate(full)
+        # each slice of g is summed as add and mul sum a broadcast operand, so
+        # the gradients equal those of the same tokens built from basic ops
+        cls._accumulate(_unbroadcast(g[:, :1], (1, 1, d)).reshape(d))
+        if num_weight is not None:
+            if num_weight.requires_grad:
+                num_weight._accumulate(_unbroadcast(g[:, num] * x3, num_weight.shape))
+            num_bias._accumulate(_unbroadcast(g[:, num], num_bias.shape))
+        if cat_table is not None:
+            if cat_table.requires_grad:
+                full = np.zeros(cat_table.shape)
+                np.add.at(full, x_idx, g[:, cat])
+                cat_table._accumulate(full)
+            cat_bias._accumulate(_unbroadcast(g[:, cat], cat_bias.shape))
 
-    return Tensor._from_op(out_data, (table,), backward)
+    parents = (cls, num_weight, num_bias, cat_table, cat_bias)
+    return Tensor._from_op(out_data, tuple(p for p in parents if p is not None), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from math import ceil
+from math import ceil, isfinite
 from typing import Iterator
 
 import numpy as np
@@ -96,13 +96,15 @@ class TrainLog:
     step_losses: list[float] = field(default_factory=list)
 
     def to_jsonl(self, path) -> None:
+        """One JSON object per line, meta first; a NaN or infinity is written as null."""
+        meta = {"phase": self.phase, "dataset": self.dataset,
+                "best_epoch": self.best_epoch, "best_metric": self.best_metric,
+                "diverged": self.diverged}
         with open(path, "w", encoding="utf-8") as fh:
-            meta = {"phase": self.phase, "dataset": self.dataset,
-                    "best_epoch": self.best_epoch, "best_metric": self.best_metric,
-                    "diverged": self.diverged}
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for e in self.entries:
-                fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
+            for record in (meta, *map(asdict, self.entries)):
+                strict = {k: None if isinstance(v, float) and not isfinite(v) else v
+                          for k, v in record.items()}
+                fh.write(json.dumps(strict, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -160,6 +161,20 @@ def test_repeated_record_name_names_file_and_entry(tmp_path):
     assert str(err.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_payload_names_file_and_entry(tmp_path, bad):
+    # assigning .data skips Tensor's finiteness check, as loading a checkpoint would
+    asm = make_assembly()
+    context = asm.datasets["t1"].context
+    context.data[0] = bad
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(asm, path, phase="pretrain")
+    with pytest.raises(CheckpointError, match=f"non-finite value in entry '{context.name}'") \
+            as err:
+        Checkpoint.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_record_whose_size_overflows_int64_reads_as_truncated(tmp_path):
     # (2**32 - 1)**4 * 8 bytes is past the int64 range
     ckpt = checkpoint_from_assembly(make_assembly(), "pretrain")
@@ -271,14 +286,31 @@ def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatc
     path = tmp_path / "m.ckpt"
     save_checkpoint(make_assembly(seed=1), path, phase="pretrain")
     old = path.read_bytes()
-    real_write = Path.write_bytes
 
-    def write_half_then_fail(self, data):
-        real_write(self, data[:len(data) // 2])
+    def fail(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(make_assembly(seed=2), path, phase="pretrain")
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_save_syncs_the_whole_file_before_the_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_assembly(), path, phase="pretrain")
+    assert calls == [("fsync", path.stat().st_size), ("replace", "m.ckpt")]

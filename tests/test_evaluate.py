@@ -249,6 +249,17 @@ def test_export_coefficients_counts_and_simplex(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_export_coefficients_rejects_a_nan_row(tmp_path):
+    asm = ModelAssembly(CFG, seed=14)
+    cols = [D.Column("a", "numeric"), D.Column("y", "target")]
+    asm.attach_dataset(D.Schema("n1", "regression", cols).signature())
+    asm.datasets["n1"].context.data[0] = np.nan
+    path = tmp_path / "c.json"
+    with pytest.raises(DataError, match="left the simplex"):
+        E.export_coefficients(asm, ["n1"], path)
+    assert not path.exists()
+
+
 def test_export_coefficients_token_counts_match_spec_shapes(tmp_path):
     # datasets with 5 and 3 features -> (6 + 4) tokens x 2(L-1) layers, plus
     # one [CLS] row each in the last block's 2 layers

@@ -84,6 +84,15 @@ def test_tokenize_categorical_range_error_names_the_column():
             tok.forward(np.zeros((1, 2)), np.array(bad))
 
 
+def test_tokenize_non_finite_numeric_value_names_the_dataset():
+    asm = ModelAssembly(SMALL, seed=4)
+    asm.attach_dataset(mixed_sig(cards=(3,)))
+    tok = asm.datasets["toy"].tokenizer
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="non-finite numeric value in dataset 'toy'"):
+            tok.forward(np.array([[0.0, 1.0], [2.0, bad]]), np.zeros((2, 1), dtype=np.int64))
+
+
 def test_tokenize_numeric_then_categorical_tokens():
     # manifest order interleaves the kinds; tokens come as [CLS, numeric...,
     # categorical...]
@@ -332,9 +341,8 @@ def full_sequence_forward(asm, dataset, x_num, x_cat):
         h = h + self_attention(a_in, block.attn, cfg.n_heads)
         f_in = layer_norm(h, *block.norm2)
         c1, c2 = asm.coefficients(dataset)[2 * block.idx:2 * block.idx + 2]
-        rows = (h.shape[1], cfg.n_basis)
-        h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in,
-                                     T.broadcast_to(c1, rows), T.broadcast_to(c2, rows))
+        ones = np.ones((h.shape[1], cfg.n_basis))   # the one row, repeated for every token
+        h = h + calinear_ffn_forward(block.lin1, block.lin2, f_in, c1 * ones, c2 * ones)
     return parts.head.forward(h[:, 0, :])
 
 
@@ -453,7 +461,8 @@ def step_graph_nodes(cfg, sig):
     asm = ModelAssembly(cfg, seed=0)
     asm.attach_dataset(sig)
     x_num, x_cat = batch_for(sig, 128)
-    loss = compute_loss(asm.forward(sig.name, x_num, x_cat), x_num[:, 0], "regression")
+    y = np.random.default_rng(1).standard_normal(128)
+    loss = compute_loss(asm.forward(sig.name, x_num, x_cat), y, "regression")
     nodes, stack = set(), [loss]
     while stack:
         t = stack.pop()
@@ -463,19 +472,21 @@ def step_graph_nodes(cfg, sig):
     return len(nodes)
 
 
-def test_acceptance_training_step_builds_53_graph_nodes():
-    # pins the fused primitives: each attention, layer norm and CaLinear mix
-    # is one node, so a change that splits one into several nodes fails here
-    assert step_graph_nodes(ACCEPTANCE, numeric_sig(n=8)) == 53
+def test_acceptance_training_step_builds_49_graph_nodes():
+    # pins the fused primitives: the tokenizer and each attention, layer norm
+    # and CaLinear mix is one node, so a change that splits one into several
+    # nodes fails here
+    assert step_graph_nodes(ACCEPTANCE, numeric_sig(n=8)) == 49
 
 
 def test_graph_nodes_do_not_grow_with_categorical_features():
-    # every categorical feature comes from one stacked table: one gather and
-    # one bias add, whatever the number of features
+    # one tokenizer node, whatever the number and kinds of features
     counts = []
     for n_cat in (1, 8):
         kinds = ("numeric", "categorical") * n_cat + ("numeric",) * (8 - n_cat)
         cards = tuple(range(2, 2 + n_cat))
         counts.append(step_graph_nodes(ACCEPTANCE, DatasetSignature("t", "regression",
                                                                     kinds, cards)))
-    assert counts == [55, 55]
+    cat_only = DatasetSignature("c", "regression", ("categorical",) * 3, (2, 3, 4))
+    counts.append(step_graph_nodes(ACCEPTANCE, cat_only))
+    assert counts == [step_graph_nodes(ACCEPTANCE, numeric_sig(n=8))] * 3

@@ -3,6 +3,8 @@ import pytest
 
 from metafn import tensor as T
 from metafn.errors import ConfigError, DimensionError
+from metafn.gradcheck import check_gradients
+from metafn.nn import Parameter
 from metafn.tensor import Tensor
 
 
@@ -58,7 +60,6 @@ UNARY_CASES = [
     ("mean_keep", lambda t: T.tmean(t, axis=-1, keepdims=True), {}),
     ("reshape", lambda t: t.reshape(6, 2), {}),
     ("slice", lambda t: t[1:3, :], {}),
-    ("broadcast", lambda t: T.broadcast_to(t.reshape(3, 4, 1), (3, 4, 2)), {}),
 ]
 
 
@@ -352,41 +353,38 @@ def test_layer_norm_and_linear_on_non_contiguous_input_match_a_contiguous_copy_b
             np.testing.assert_array_equal(got, want)
 
 
-def test_gather_and_concat_gradients():
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        table = rng.standard_normal((5, 3))
-        idx = rng.integers(0, 5, size=7)
-        w = rng.standard_normal((7, 3))
-        w2 = rng.standard_normal((14, 3))
+@pytest.mark.parametrize("n_num,cards,rows,frozen_table", [
+    (3, (), 4, False), (0, (2, 1, 3), 5, False), (2, (3, 2), 6, False),
+    (2, (2,), 1, False), (1, (2, 3), 4, True),
+], ids=["numeric", "categorical", "mixed", "one-row", "frozen-table"])
+def test_tokens_gradients(n_num, cards, rows, frozen_table):
+    rng = np.random.default_rng(n_num + 10 * len(cards) + rows)
+    d, n_cat = 3, len(cards)
+    sizes = np.asarray(cards, dtype=np.int64) + 1
+    x_num = rng.standard_normal((rows, n_num))
+    x_idx = rng.integers(0, sizes, (rows, n_cat)) + np.cumsum(sizes) - sizes
+    x_idx[-1] = x_idx[0]        # a table row read twice accumulates both gradients
 
-        t = Tensor(table.copy(), requires_grad=True)
-        rows = T.gather_rows(t, idx)
-        both = T.concat([rows, rows], axis=0)
-        loss = T.tsum(rows * w) + T.tsum(both * w2)
-        loss.backward()
+    def param(shape, name):
+        return Parameter(rng.standard_normal(shape), name) if shape[0] else None
 
-        def f(x):
-            tt = Tensor(x, requires_grad=True)
-            r = T.gather_rows(tt, idx)
-            bo = T.concat([r, r], axis=0)
-            return float((T.tsum(r * w) + T.tsum(bo * w2)).data)
+    cls = param((d,), "cls")
+    num_weight, num_bias = param((n_num, d), "num.weight"), param((n_num, d), "num.bias")
+    cat_table, cat_bias = param((int(sizes.sum()), d), "cat.table"), param((n_cat, d), "cat.bias")
+    mix = rng.standard_normal((rows, 1 + n_num + n_cat, d))
 
-        assert rel_err(t.grad, numeric_grad(f, table.copy())) <= 1e-4
+    def loss():
+        out = T.tokens(x_num, x_idx, cls, num_weight, num_bias, cat_table, cat_bias)
+        return T.tsum(out * mix)
 
-
-def test_gather_rows_takes_an_index_array_of_any_shape():
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal((6, 3))
-    idx = np.array([[0, 5], [5, 2], [0, 0]])
-    w = rng.standard_normal((3, 2, 3))
-    t = Tensor(table.copy(), requires_grad=True)
-    rows = T.gather_rows(t, idx)
-    np.testing.assert_array_equal(rows.data, table[idx])
-    T.tsum(rows * w).backward()
-    want = np.zeros_like(table)
-    np.add.at(want, idx, w)
-    np.testing.assert_array_equal(t.grad, want)
+    params = [p for p in (cls, num_weight, num_bias, cat_table, cat_bias) if p is not None]
+    if frozen_table:
+        cat_table.requires_grad = False
+        params.remove(cat_table)
+    report = check_gradients(loss, params)
+    assert report.passed, report.summary()
+    if frozen_table:
+        assert cat_table.grad is None
 
 
 def test_linear_bias_is_optional_and_fuses_bitwise():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -297,11 +298,28 @@ def test_trainlog_jsonl_roundtrip(tmp_path, suite):
     log.to_jsonl(path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + len(log.entries)
-    import json
     meta = json.loads(lines[0])
     assert meta["phase"] == "pretrain"
     entry = json.loads(lines[1])
     assert {"epoch", "train_loss", "valid_metric", "changed_params"} <= set(entry)
+
+
+def test_trainlog_jsonl_writes_non_finite_numbers_as_null(tmp_path):
+    # a diverged phase leaves a NaN best metric; RFC 8259 JSON has no NaN
+    nan, inf = float("nan"), float("inf")
+    log = TR.TrainLog("pretrain", best_metric=nan, diverged=True, entries=[
+        TR.LogEntry(1, nan, inf, "mse", 1e-3, -inf, 0.5, ["a"])])
+    path = tmp_path / "log.jsonl"
+    log.to_jsonl(path)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    meta, entry = (json.loads(line, parse_constant=reject)
+                   for line in path.read_text().splitlines())
+    assert (meta["best_metric"], meta["diverged"]) == (None, True)
+    assert [entry[k] for k in ("train_loss", "valid_metric", "lr_dataset", "lr_shared")] == \
+        [None, None, 1e-3, None]
 
 
 def test_lr_groups_in_supervised_loop(suite):
