@@ -53,6 +53,10 @@ def _tasks(cfg: RunConfig, out: Path):
     raws = list(_suite(cfg).heldout)
     raws += [D.load_csv(entry["csv"], entry["manifest"])
              for entry in cfg.raw["data"]["tasks"]]
+    names = [raw.schema.name for raw in raws]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"two tasks share the name {name!r}; each task needs its own name")
     for raw in raws:
         for setting in cfg.settings:
             bundle = D.prepare(raw, split_seed=cfg.seed, setting=setting)

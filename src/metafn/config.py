@@ -95,9 +95,11 @@ class RunConfig:
             raise ConfigError("data.suite_dir must be a string or null")
         if not isinstance(self.raw["settings"], list):
             raise ConfigError("settings must be a list of setting names")
-        for name in self.raw["settings"]:
+        for i, name in enumerate(self.raw["settings"]):
             if not isinstance(name, str) or name not in SETTINGS:
                 raise ConfigError(f"settings: unknown setting name {name!r}")
+            if name in self.raw["settings"][:i]:
+                raise ConfigError(f"settings: {name!r} is listed twice")
         tasks = self.raw["data"]["tasks"]
         if not isinstance(tasks, list) or not all(
                 isinstance(t, dict) and isinstance(t.get("csv"), str)

@@ -59,6 +59,11 @@ class Schema:
                 raise DataError(f"column {c.name!r} has unknown kind {c.kind!r}")
             if c.kind == "categorical" and not c.vocabulary:
                 raise DataError(f"categorical column {c.name!r} has an empty vocabulary")
+            if c.vocabulary is not None and (
+                    not isinstance(c.vocabulary, tuple)
+                    or not all(isinstance(v, str) for v in c.vocabulary)
+                    or len(set(c.vocabulary)) < len(c.vocabulary)):
+                raise DataError(f"the vocabulary of column {c.name!r} must list distinct strings")
 
     @property
     def feature_columns(self) -> list[Column]:
@@ -83,8 +88,8 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        cols = [Column(c["name"], c["kind"],
-                       tuple(c["vocabulary"]) if "vocabulary" in c else None)
+        cols = [Column(c["name"], c["kind"], tuple(c["vocabulary"])
+                       if isinstance(c.get("vocabulary"), list) else c.get("vocabulary"))
                 for c in d["columns"]]
         return cls(d["name"], d["task"], cols)
 

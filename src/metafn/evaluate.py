@@ -109,6 +109,8 @@ class ScoreTable:
     values: list[list[float]] = field(default_factory=list)
 
     def add_row(self, task: str, metric: str, scores: dict[str, float]) -> None:
+        if task in self.tasks:
+            raise DataError(f"task {task!r} is scored twice")
         if metric not in HIGHER_BETTER:
             raise DataError(f"task {task!r} has unknown metric {metric!r}")
         missing = [m for m in self.methods if m not in scores]

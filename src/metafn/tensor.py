@@ -87,6 +87,8 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # numpy defers to __radd__ and __rmul__ instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -290,8 +292,16 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward)
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def getitem(a: Tensor, idx) -> Tensor:
-    """Basic indexing (ints and slices) with gradient scatter on the way back."""
+    """Basic indexing (ints, slices, None, Ellipsis) with gradient scatter on
+    the way back.  Any other index is refused: an array index may repeat an
+    element, and the scatter would then drop all but one of its gradients."""
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(i, bool) or not isinstance(i, _BASIC_INDEX):
+            raise DimensionError(f"tensors take basic indices only, got {type(i).__name__}")
     a = _to_const(a)
     out_data = a.data[idx]
 

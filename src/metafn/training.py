@@ -7,9 +7,9 @@ new dataset's tokenizer, head, and context from scratch.  Refinement
 briefly unfreezes everything, and the from-scratch baseline trains every
 parameter on one dataset.
 
-All four phases run one step loop, ``_train``.  A phase hands it the
-parameters it trains, a batch schedule, a log period, the tables it
-validates on and one of two rules for the state it retains:
+All four phases run one step loop, ``_train``.  A phase hands it its
+tables, the parameters it trains, its seed stream and one of two rules for
+the state it retains:
 
 * best (calibrate, refine, scratch): the initial state and the state at
   every epoch end are candidates, and the one with the best validation
@@ -17,8 +17,17 @@ validates on and one of two rules for the state it retains:
   the calibration result;
 * last (pretrain): the state at the latest log point is kept.
 
+Every phase draws its batches the same way: at each step a uniformly
+drawn table gives the next ``batch_cap`` rows of its current permutation,
+and a table whose permutation is used up draws a new one.  With one table
+that is one permutation per epoch, cut into batches.  An epoch, which is
+also the log period, is the sum over tables of ``ceil(train rows /
+batch_cap)`` steps, and a phase runs ``spec.epochs`` epochs unless
+pretraining is given a step count.
+
 A non-finite loss stops the loop.  The retained state is restored when
-the loop ends, also when a step raises.
+the loop ends, also when a step raises.  States are held by reference:
+AdamW rebinds ``p.data`` and never writes into it, so no state is copied.
 
 From the parameters a phase trains the loop derives its two AdamW groups,
 dataset-specific ones on the warmup/decay schedule and shared ones at the
@@ -33,7 +42,6 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from math import ceil, isfinite
-from typing import Iterator
 
 import numpy as np
 
@@ -108,39 +116,35 @@ class TrainLog:
 
 
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
-    return {n: p.data.copy() for n, p in params.items()}
-
-
-def _restore(params: dict[str, Parameter], snap: dict[str, np.ndarray]) -> None:
-    for n, arr in snap.items():
-        params[n].data = arr.copy()
+    return {n: p.data for n, p in params.items()}
 
 
 def _changed(before: dict[str, np.ndarray], after: dict[str, np.ndarray]) -> list[str]:
     return sorted(n for n, arr in after.items() if arr.tobytes() != before[n].tobytes())
 
 
-Batches = Iterator[tuple[str, np.ndarray]]
-
-
 def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseSpec,
-           params: dict[str, Parameter], batches: Batches, total: int, log_every: int,
-           keep_best: bool) -> TrainLog:
+           params: dict[str, Parameter], keep_best: bool, stream: int,
+           steps: int | None = None) -> TrainLog:
     """The step loop of every phase.
 
     ``params`` holds what the phase trains.  Its dataset-specific members
     form the scheduled AdamW group and its shared members the group at the
     constant ``spec.base_lr``; while the loop runs, exactly ``params`` have
-    ``requires_grad`` set.  ``batches`` yields ``(dataset name, row
-    indices)`` once per step, the indices counting rows of that bundle's
-    train split.  ``total`` is the length of the learning-rate schedule.
-    Every ``log_every`` steps, and after step ``total``, the loop validates
-    and logs.  With
-    ``keep_best`` it scores the one table in ``bundles`` (first before any
-    step) and retains the best state; otherwise it reports the mean over
-    ``bundles`` and retains the latest state.  Each bundle's train and
-    valid splits are transformed once, before the first step.
+    ``requires_grad`` set.  The batches of ``bundles`` are drawn from the
+    seed stream ``[spec.seed, stream]``.  The schedule is ``steps`` long,
+    by default ``spec.epochs`` epochs, and at every epoch end and after the
+    last step the loop validates and logs.  With ``keep_best`` it scores
+    the one table in ``bundles`` (first before any step) and retains the
+    best state; otherwise it reports the mean over ``bundles`` and retains
+    the latest state.  Each bundle's train and valid splits are transformed
+    once, before the first step.
     """
+    sizes = {b.schema.name: b.split_rows("train").size for b in bundles}
+    log_every = sum(ceil(n / spec.batch_cap) for n in sizes.values())
+    total = spec.epochs * log_every if steps is None else steps
+    batches = _sampled_batches(sizes, spec.batch_cap, total, np.random.default_rng(
+        np.random.SeedSequence([spec.seed, stream])))
     train = {b.schema.name: D.matrices(b, "train") for b in bundles}
     valid = {b.schema.name: D.matrices(b, "valid") for b in bundles}
     shared = assembly.shared_parameters()
@@ -199,7 +203,8 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
                                  > E.oriented(metric_name, kept_metric)):
                 kept, kept_epoch, kept_metric = snap, epoch, metric
     finally:
-        _restore(params, kept)
+        for n, arr in kept.items():
+            params[n].data = arr
         for p, flag in flags:
             p.requires_grad = flag
     log.best_epoch, log.best_metric = kept_epoch, kept_metric
@@ -207,18 +212,10 @@ def _train(assembly: ModelAssembly, bundles: list[D.DatasetBundle], spec: PhaseS
     return log
 
 
-def _epoch_batches(name: str, n: int, spec: PhaseSpec,
-                   rng: np.random.Generator) -> Batches:
-    """One permutation of the rows per epoch, cut into batches."""
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, spec.batch_cap):
-            yield name, order[lo:lo + spec.batch_cap]
-
-
 def _sampled_batches(sizes: dict[str, int], batch_cap: int, total: int,
-                     rng: np.random.Generator) -> Batches:
-    """A uniformly drawn dataset per step; each walks its own permutations."""
+                     rng: np.random.Generator):
+    """Yield ``total`` steps' (dataset name, train row indices): a uniformly
+    drawn dataset per step, each walking its own permutations."""
     names = list(sizes)
     orders = {n: rng.permutation(size) for n, size in sizes.items()}
     pos = dict.fromkeys(names, 0)
@@ -245,12 +242,7 @@ def _fit_one(assembly: ModelAssembly, bundle: D.DatasetBundle, spec: PhaseSpec,
     name = bundle.schema.name
     part = assembly.partition_parameters(name)
     params = {**part.dataset, **part.shared_norm, **({} if norms_only else part.shared_rest)}
-    n = bundle.split_rows("train").size
-    steps_per_epoch = max(1, ceil(n / spec.batch_cap))
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
-    log = _train(assembly, [bundle], spec, params, _epoch_batches(name, n, spec, rng),
-                 total=max(1, spec.epochs * steps_per_epoch), log_every=steps_per_epoch,
-                 keep_best=True)
+    log = _train(assembly, [bundle], spec, params, keep_best=True, stream=0xba7c4)
     assembly.dataset_phase[name] = spec.phase
     return log
 
@@ -288,11 +280,10 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
              spec: PhaseSpec, steps_total: int | None = None) -> TrainLog:
     """Cross-table pretraining with uniform per-step dataset sampling.
 
-    ``steps_total`` defaults to spec.epochs * sum_i ceil(rows_i / batch_cap),
-    which makes the expected per-dataset epoch count equal spec.epochs for
-    same-sized datasets.  The run is logged at every epoch boundary (every
-    sum_i ceil(rows_i / batch_cap) steps) and after the last step; each entry
-    averages the losses of the steps since the entry before.
+    ``steps_total`` defaults to ``spec.epochs`` epochs, which makes the
+    expected per-dataset epoch count equal spec.epochs for same-sized
+    datasets.  Each log entry averages the losses of the steps since the
+    entry before.
     """
     _check_phase(spec, "pretrain")
     if not bundles:
@@ -301,15 +292,10 @@ def pretrain(assembly: ModelAssembly, bundles: list[D.DatasetBundle],
         if b.schema.name not in assembly.datasets:
             raise UsageError(f"attach {b.schema.name!r} before pretraining")
 
-    sizes = {b.schema.name: b.split_rows("train").size for b in bundles}
-    steps_per_epoch = sum(ceil(size / spec.batch_cap) for size in sizes.values())
-    total = steps_total if steps_total is not None else spec.epochs * steps_per_epoch
-    if total <= 0:
+    # every table has a train row, so an epoch is at least one step
+    if (spec.epochs if steps_total is None else steps_total) <= 0:
         raise UsageError("pretraining needs a positive step count")
-
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
-    log = _train(assembly, bundles, spec, assembly.parameters(),
-                 _sampled_batches(sizes, spec.batch_cap, total, rng),
-                 total=total, log_every=steps_per_epoch, keep_best=False)
+    log = _train(assembly, bundles, spec, assembly.parameters(), keep_best=False,
+                 stream=0x9e7a1, steps=steps_total)
     assembly.provenance = "pretrain"
     return log

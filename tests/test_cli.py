@@ -239,6 +239,27 @@ def test_missing_task_csv_exits_1_with_an_error_line(pipeline_dir, tmp_path, cap
     assert "error:" in err and "absent.csv: CSV not found" in err and "Traceback" not in err
 
 
+def test_a_task_named_like_another_exits_2_before_writing(pipeline_dir, tmp_path, capsys):
+    # the exported held-out table has the name of one the suite already adapts
+    (tmp_path / "run").mkdir()
+    shutil.copy(pipeline_dir / "pretrained.ckpt", tmp_path / "run")
+    heldout = pipeline_dir / "suite" / "heldout"
+    task = json.dumps([{"csv": str(heldout / "synth_task_00.csv"),
+                        "manifest": str(heldout / "synth_task_00.manifest.json")}])
+    for command in ("calibrate", "eval"):
+        assert run(command, tmp_path, extra=["--set", f"data.tasks={task}"]) == 2
+        err = capsys.readouterr().err
+        assert "error: two tasks share the name 'synth_task_00'" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "run" / "tasks").exists()
+    assert not (tmp_path / "run" / "scores.json").exists()
+
+
+def test_a_repeated_setting_is_a_config_error():
+    with pytest.raises(ConfigError, match="settings: 'T-100' is listed twice"):
+        RunConfig.load(None, ['settings=["T-100", "T-20", "T-100"]'])
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -426,6 +426,20 @@ def test_load_manifest_rejects_a_repeated_column_name(tmp_path):
         D.load_manifest(man_path)
 
 
+@pytest.mark.parametrize("vocabulary", [[0, 1], ["0", "1", "1"], ["red", None], "red"],
+                         ids=["numbers", "repeated", "null", "string"])
+def test_load_manifest_rejects_a_vocabulary_of_other_than_distinct_strings(tmp_path,
+                                                                          vocabulary):
+    # [0, 1] sent every CSV value to the unknown bucket, ["0", "1", "1"]
+    # mapped "1" to index 2 and declared cardinality 3, and "red" was read
+    # as the vocabulary ("r", "e", "d")
+    manifest = _with_column({"name": "age", "kind": "categorical", "vocabulary": vocabulary})
+    _, man_path = write_csv(tmp_path, "age,color,label\n1,red,0\n", manifest)
+    with pytest.raises(DataError, match=r"d\.manifest\.json: malformed manifest .*"
+                                        r"vocabulary of column 'age' must list distinct strings"):
+        D.load_manifest(man_path)
+
+
 def test_load_manifest_names_a_missing_manifest(tmp_path):
     with pytest.raises(DataError, match=r"absent\.manifest\.json: manifest not found"):
         D.load_manifest(tmp_path / "absent.manifest.json")

@@ -294,6 +294,17 @@ def test_score_table_missing_cell_rejected():
         t.add_row("t", "mse", {"a": 1.0})
 
 
+def test_score_table_rejects_a_task_scored_twice():
+    t = E.ScoreTable(["a", "b"])
+    t.add_row("t", "mse", {"a": 1.0, "b": 2.0})
+    with pytest.raises(DataError, match="task 't' is scored twice"):
+        t.add_row("t", "mse", {"a": 1.0, "b": 2.0})
+    assert t.tasks == ["t"]
+    with pytest.raises(DataError, match="task 't' is scored twice"):
+        E.ScoreTable.from_dict({"methods": ["a", "b"], "tasks": ["t", "t"],
+                                "metrics": ["mse", "mse"], "values": [[1.0, 2.0]] * 2})
+
+
 def test_score_table_rejects_an_unknown_metric():
     t = E.ScoreTable(["a", "b"])
     with pytest.raises(DataError, match="task 't' has unknown metric 'rmse'"):

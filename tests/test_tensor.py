@@ -504,3 +504,35 @@ def test_determinism_bitwise():
     o1, g1 = run()
     o2, g2 = run()
     assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("idx", [[0, 0], np.array([0, 0]), (slice(None), [1, 1]),
+                                 np.array([True, False, True]), True])
+def test_getitem_refuses_an_index_that_is_not_basic(idx):
+    # an array index may repeat an element, and the scatter of the backward
+    # would keep only one of its gradients: T.tsum(a[[0, 0]]) gave [1, 0, 0]
+    a = Tensor(np.arange(6.0).reshape(3, 2) if isinstance(idx, tuple) else np.arange(3.0),
+               requires_grad=True)
+    with pytest.raises(DimensionError, match="basic indices"):
+        a[idx]
+
+
+def test_getitem_takes_ints_slices_none_and_ellipsis():
+    a = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    out = T.tsum(a[np.int64(1), None, ..., 1:3] * 2.0)
+    np.testing.assert_array_equal(out.data, np.arange(24.0).reshape(2, 3, 4)[1, :, 1:3].sum() * 2)
+    out.backward()
+    expected = np.zeros((2, 3, 4))
+    expected[1, :, 1:3] = 2.0
+    np.testing.assert_array_equal(a.grad, expected)
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_an_array_on_the_left_defers_to_the_tensor(op):
+    t = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    left = np.array([2.0, 3.0, 4.0])
+    out = left * t if op == "mul" else left + t
+    assert isinstance(out, Tensor)
+    np.testing.assert_array_equal(out.data, left * t.data if op == "mul" else left + t.data)
+    T.tsum(out).backward()
+    np.testing.assert_array_equal(t.grad, left if op == "mul" else np.ones(3))

@@ -634,3 +634,74 @@ def test_each_phase_trains_its_own_parameters_in_two_rate_groups(suite, monkeypa
     assert groups[0][0] == own
     assert groups[1] == (shared, spec.base_lr)
     assert flags == [own | shared]
+
+
+def record_step_rows(monkeypatch, bundles):
+    """Wrap ModelAssembly.forward to record (dataset, train row indices) of every step.
+
+    A step's forward builds a graph and a validation forward does not; a
+    step's rows are found in the dataset's train matrix by their bytes.
+    """
+    rows = {}
+    for b in bundles:
+        x_num = D.matrices(b, "train")[0]
+        rows[b.schema.name] = {r.tobytes(): i for i, r in enumerate(x_num)}
+        assert len(rows[b.schema.name]) == len(x_num)    # every train row is distinct
+    steps = []
+    real_forward = ModelAssembly.forward
+
+    def recording(self, dataset, x_num, x_cat):
+        pred = real_forward(self, dataset, x_num, x_cat)
+        if pred.requires_grad:
+            steps.append((dataset, [rows[dataset][r.tobytes()] for r in x_num]))
+        return pred
+
+    monkeypatch.setattr(ModelAssembly, "forward", recording)
+    return steps
+
+
+def test_calibration_walks_one_permutation_per_epoch_cut_at_batch_cap(suite, monkeypatch):
+    _, shared, _ = pretrained(suite, epochs=2, seed=3)
+    bundle = D.prepare(suite.heldout[0], split_seed=3, setting="T-100")
+    asm = ModelAssembly(CFG, seed=3)
+    load_shared(asm, shared)
+    steps = record_step_rows(monkeypatch, [bundle])
+    spec = TR.PhaseSpec("calibrate", epochs=3, batch_cap=32, seed=11)
+    TR.calibrate(asm, bundle, spec)
+
+    n = bundle.split_rows("train").size
+    assert n == 100
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xba7c4]))
+    expected = []
+    for _ in range(spec.epochs):
+        order = rng.permutation(n).tolist()
+        expected += [order[lo:lo + spec.batch_cap] for lo in range(0, n, spec.batch_cap)]
+    assert [len(idx) for _, idx in steps] == [32, 32, 32, 4] * spec.epochs
+    assert steps == [(bundle.schema.name, idx) for idx in expected]
+
+
+def test_pretraining_draws_a_table_per_step_from_its_seed_stream(suite, monkeypatch):
+    bundles = W.prepare_pretrain_bundles(suite, data_seed=0)
+    asm = ModelAssembly(CFG, seed=0)
+    for b in bundles:
+        asm.attach_dataset(b.schema.signature())
+    steps = record_step_rows(monkeypatch, bundles)
+    spec = TR.PhaseSpec("pretrain", epochs=1, batch_cap=64, seed=13)
+    total = 40      # more steps than one pass over any table takes
+    TR.pretrain(asm, bundles, spec, steps_total=total)
+
+    sizes = {b.schema.name: b.split_rows("train").size for b in bundles}
+    names = list(sizes)
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x9e7a1]))
+    orders = {name: rng.permutation(size).tolist() for name, size in sizes.items()}
+    pos = dict.fromkeys(names, 0)
+    expected, reshuffles = [], 0
+    for _ in range(total):
+        name = names[int(rng.integers(len(names)))]
+        if pos[name] >= sizes[name]:
+            orders[name], pos[name] = rng.permutation(sizes[name]).tolist(), 0
+            reshuffles += 1
+        lo, pos[name] = pos[name], min(pos[name] + spec.batch_cap, sizes[name])
+        expected.append((name, orders[name][lo:pos[name]]))
+    assert reshuffles > 0
+    assert steps == expected
