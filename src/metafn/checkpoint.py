@@ -18,9 +18,8 @@ Records are written in registry order, so save -> load -> save is
 byte-identical.  Every record's CRC is verified on load and failures
 name the offending entry, as do a name that repeats and a payload that
 holds a NaN or an infinity; a malformed header is rejected naming the
-file.  A save writes a temporary file beside the target, syncs it to disk
-and only then renames it over the target, so a failed or interrupted save,
-or an OS crash, leaves either the previous file or the new one, whole.
+file.  A save goes through ``errors.write_file``, so it leaves either the
+previous file or the new one, whole.
 """
 
 from __future__ import annotations
@@ -28,15 +27,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, check_choice, read_file
+from .errors import CheckpointError, ConfigError, check_choice, read_file, write_file
 from .model import DatasetSignature, ModelAssembly, ModelConfig
 from .training import PHASES
 
@@ -77,17 +74,7 @@ class Checkpoint:
             chunks.append(struct.pack(f"<{len(shape)}I", *shape))
             chunks.append(struct.pack("<I", zlib.crc32(payload)))
             chunks.append(payload)
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(b"".join(chunks))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_file(path, b"".join(chunks))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

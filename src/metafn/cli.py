@@ -15,7 +15,6 @@ library give the same numbers from the same state.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,8 @@ from . import training as TR
 from . import workflow as W
 from .checkpoint import Checkpoint, assembly_from_checkpoint, checkpoint_from_assembly
 from .config import RunConfig
-from .errors import ConfigError, DataError, MetafnError, UsageError, read_json
+from .errors import (ConfigError, DataError, MetafnError, UsageError, json_text, read_json,
+                     write_file)
 from .model import ModelAssembly
 
 def _log(msg: str) -> None:
@@ -35,9 +35,7 @@ def _log(msg: str) -> None:
 def _provenance(cfg: RunConfig, command: str, artifact: Path) -> None:
     record = {"command": command, "config_hash": cfg.hash(), "seed": cfg.seed,
               "artifact": artifact.name}
-    path = artifact.with_name(artifact.name + ".provenance.json")
-    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    write_file(artifact.with_name(artifact.name + ".provenance.json"), json_text(record))
 
 
 def _suite(cfg: RunConfig) -> D.SynthSuite:
@@ -60,9 +58,7 @@ def _tasks(cfg: RunConfig, out: Path):
     for raw in raws:
         for setting in cfg.settings:
             bundle = D.prepare(raw, split_seed=cfg.seed, setting=setting)
-            task_dir = out / "tasks" / bundle.schema.name / setting
-            task_dir.mkdir(parents=True, exist_ok=True)
-            yield setting, bundle, task_dir
+            yield setting, bundle, out / "tasks" / bundle.schema.name / setting
 
 
 def _checkpoint(path: Path, command: str) -> Checkpoint:
@@ -136,8 +132,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         table.add_row(f"{bundle.schema.name}|{setting}", scores["refined"].metric,
                       {m: s.value for m, s in scores.items()})
     path = out / "scores.json"
-    path.write_text(json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    write_file(path, json_text(table.to_dict()))
     _provenance(cfg, "eval", path)
     _log(f"scored {len(table.tasks)} task/setting pairs -> {path}")
 
@@ -193,14 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         _log(f"error: {exc}")
         return 2
     out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(out)
     try:
+        cfg.write_resolved(out)
         HANDLERS[args.command](cfg, out)
     except (ConfigError, UsageError) as exc:
         _log(f"error: {exc}")
         return 2
-    except MetafnError as exc:
+    except (MetafnError, OSError) as exc:    # OSError: an output cannot be written
         _log(f"error: {exc}")
         return 1
     return 0

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .data import SETTINGS, SynthSuiteSpec
-from .errors import ConfigError, check_int, read_json
+from .errors import ConfigError, check_int, json_text, read_json, write_file
 from .model import ModelConfig
 from .training import DEFAULT_EPOCHS, PhaseSpec, default_calibrate_epochs
 
@@ -105,6 +105,10 @@ class RunConfig:
                 isinstance(t, dict) and isinstance(t.get("csv"), str)
                 and isinstance(t.get("manifest"), str) for t in tasks):
             raise ConfigError('data.tasks must list {"csv": path, "manifest": path} entries')
+        for i, task in enumerate(tasks):
+            unknown = sorted(set(task) - {"csv", "manifest"})
+            if unknown:
+                raise ConfigError(f"data.tasks[{i}]: unknown key {unknown[0]!r}")
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str] = ()) -> "RunConfig":
@@ -148,13 +152,10 @@ class RunConfig:
     # -- provenance --------------------------------------------------------------
 
     def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
+        return json_text(self.raw)
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
-    def write_resolved(self, directory: Path) -> Path:
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "config.resolved.json"
-        path.write_text(self.canonical_json(), encoding="utf-8")
-        return path
+    def write_resolved(self, directory: Path) -> None:
+        write_file(directory / "config.resolved.json", self.canonical_json())

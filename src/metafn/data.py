@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -25,7 +24,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DataError, UsageError, check_int, check_real, read_file, read_json
+from .errors import (DataError, UsageError, check_int, check_real, json_text, read_file,
+                     read_json, write_file)
 from .model import DatasetSignature
 
 PROB_CLIP = 1e-7
@@ -46,6 +46,10 @@ class Schema:
     columns: list[Column]
 
     def __post_init__(self):
+        # the name is a directory of the CLI's output: one path component
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(ch in self.name for ch in "/\\\0")):
+            raise DataError(f"dataset name {self.name!r} must be one path component")
         if self.task not in ("binary", "regression"):
             raise DataError(f"unknown task type {self.task!r}")
         targets = [c for c in self.columns if c.kind == "target"]
@@ -297,28 +301,27 @@ def load_csv(csv_path, manifest_path) -> DatasetBundle:
 def save_csv(bundle: DatasetBundle, csv_path, manifest_path) -> None:
     """Write raw rows + manifest; floats use repr so values round-trip exactly."""
     schema = bundle.schema
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in schema.columns])
-        i_num = {c.name: k for k, c in enumerate(schema.columns) if c.kind == "numeric"}
-        i_cat = {c.name: k for k, c in
-                 enumerate([c for c in schema.columns if c.kind == "categorical"])}
-        for r in range(bundle.n_rows):
-            row = []
-            for c in schema.columns:
-                if c.kind == "numeric":
-                    row.append(repr(float(bundle.x_num[r, i_num[c.name]])))
-                elif c.kind == "categorical":
-                    idx = bundle.x_cat[r, i_cat[c.name]]
-                    row.append(c.vocabulary[idx] if idx < len(c.vocabulary) else "<unknown>")
-                else:
-                    val = bundle.y[r]
-                    row.append(repr(float(val)) if schema.task == "regression"
-                               else str(int(val)))
-            writer.writerow(row)
+    write_file(manifest_path, json_text(schema.to_dict()))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([c.name for c in schema.columns])
+    i_num = {c.name: k for k, c in enumerate(schema.columns) if c.kind == "numeric"}
+    i_cat = {c.name: k for k, c in
+             enumerate([c for c in schema.columns if c.kind == "categorical"])}
+    for r in range(bundle.n_rows):
+        row = []
+        for c in schema.columns:
+            if c.kind == "numeric":
+                row.append(repr(float(bundle.x_num[r, i_num[c.name]])))
+            elif c.kind == "categorical":
+                idx = bundle.x_cat[r, i_cat[c.name]]
+                row.append(c.vocabulary[idx] if idx < len(c.vocabulary) else "<unknown>")
+            else:
+                val = bundle.y[r]
+                row.append(repr(float(val)) if schema.task == "regression"
+                           else str(int(val)))
+        writer.writerow(row)
+    write_file(csv_path, buf.getvalue())
 
 
 # -- synthetic suite ----------------------------------------------------------
@@ -456,15 +459,12 @@ def export_suite(suite: SynthSuite, out_dir) -> None:
     out = Path(out_dir)
     meta = {"spec": asdict(suite.spec), "mixtures": {}, "tables": {}}
     for sub, bundles in (("pretrain", suite.pretrain), ("heldout", suite.heldout)):
-        (out / sub).mkdir(parents=True, exist_ok=True)
         meta["tables"][sub] = [b.schema.name for b in bundles]
         for b in bundles:
             save_csv(b, out / sub / f"{b.schema.name}.csv",
                      out / sub / f"{b.schema.name}.manifest.json")
             meta["mixtures"][b.schema.name] = [repr(float(v)) for v in b.true_mixture]
-    with open(out / "suite.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(out / "suite.json", json_text(meta))
 
 
 def load_suite(suite_dir) -> SynthSuite:
@@ -485,6 +485,12 @@ def load_suite(suite_dir) -> SynthSuite:
         if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
                    for names in tables.values()):
             raise TypeError("'tables' must list the names of each part")
+        for name in tables["pretrain"] + tables["heldout"]:
+            mix = mixtures.get(name)
+            if (mix is None or mix.shape != (spec.n_basis_functions,)
+                    or not np.isfinite(mix).all()):
+                raise ValueError(f"table {name!r} needs a mixture of "
+                                 f"{spec.n_basis_functions} finite weights")
         return spec, mixtures, tables
 
     spec, mixtures, tables = read_json(root / "suite.json", DataError,

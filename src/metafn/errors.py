@@ -1,7 +1,12 @@
-"""Exception taxonomy, the value checks that raise it, and the one input-file reader."""
+"""Exception taxonomy, the value checks that raise it, and the one file reader and writer.
+
+Every input file enters through ``read_file``; every output file leaves through
+``write_file``, whole or not at all, and a JSON output is ``json_text``.
+"""
 
 import json
 import math
+import os
 from pathlib import Path
 
 
@@ -71,3 +76,28 @@ def read_json(path, error: type[MetafnError], what: str, parse=lambda doc: doc):
         return parse(doc)
     except (KeyError, TypeError, ValueError, AttributeError, MetafnError) as exc:
         raise error(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` whole or not at all, making its parents.
+
+    A temporary file beside the target is synced, then renamed over it; on any
+    failure it is removed and the error re-raised.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def json_text(doc) -> str:
+    """The one JSON output format; a NaN or an infinity raises ``ValueError``."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

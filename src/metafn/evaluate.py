@@ -12,7 +12,6 @@ and regression cells displayed negated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, json_text, write_file
 from .model import ModelAssembly, ModelConfig
 from .tensor import no_grad
 
@@ -108,6 +107,12 @@ class ScoreTable:
     metric_names: list[str] = field(default_factory=list)
     values: list[list[float]] = field(default_factory=list)
 
+    def __post_init__(self):
+        if (not isinstance(self.methods, list)
+                or not all(isinstance(m, str) for m in self.methods)
+                or len(set(self.methods)) < len(self.methods)):
+            raise DataError(f"methods must list distinct strings, not {self.methods!r}")
+
     def add_row(self, task: str, metric: str, scores: dict[str, float]) -> None:
         if task in self.tasks:
             raise DataError(f"task {task!r} is scored twice")
@@ -135,7 +140,7 @@ class ScoreTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreTable":
-        t = cls(list(d["methods"]))
+        t = cls(d["methods"])
         lists = d["tasks"], d["metrics"], d["values"]
         if len({len(x) for x in lists}) != 1:
             raise DataError("tasks, metrics and values differ in length: "
@@ -216,9 +221,7 @@ def export_coefficients(assembly: ModelAssembly, dataset_names: list[str], path)
                         "coefficients": [float(c) for c in coeffs[token]],
                     })
     doc = {"phase": "pretrained", "records": records}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json_text(doc))
     return doc
 
 
@@ -266,10 +269,6 @@ def build_report(tables: dict[str, ScoreTable], out_prefix) -> dict:
     """
     report = {name: _table_section(table) for name, table in tables.items()}
     prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(prefix.with_suffix(".txt"), "w", encoding="utf-8") as fh:
-        fh.write(_render_text(report))
+    write_file(prefix.with_suffix(".json"), json_text(report))
+    write_file(prefix.with_suffix(".txt"), _render_text(report))
     return report

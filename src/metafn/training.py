@@ -47,7 +47,7 @@ import numpy as np
 
 from . import data as D
 from . import evaluate as E
-from .errors import UsageError, check_choice, check_int, check_real
+from .errors import UsageError, check_choice, check_int, check_real, write_file
 from .model import ModelAssembly
 from .nn import Parameter, compute_loss
 from .optim import AdamW, lr_at
@@ -108,11 +108,10 @@ class TrainLog:
         meta = {"phase": self.phase, "dataset": self.dataset,
                 "best_epoch": self.best_epoch, "best_metric": self.best_metric,
                 "diverged": self.diverged}
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in (meta, *map(asdict, self.entries)):
-                strict = {k: None if isinstance(v, float) and not isfinite(v) else v
-                          for k, v in record.items()}
-                fh.write(json.dumps(strict, sort_keys=True, allow_nan=False) + "\n")
+        lines = [json.dumps({k: None if isinstance(v, float) and not isfinite(v) else v
+                             for k, v in record.items()}, sort_keys=True, allow_nan=False)
+                 for record in (meta, *map(asdict, self.entries))]
+        write_file(path, "".join(line + "\n" for line in lines))
 
 
 def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:

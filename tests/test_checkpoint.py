@@ -314,3 +314,9 @@ def test_save_syncs_the_whole_file_before_the_rename(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(make_assembly(), path, phase="pretrain")
     assert calls == [("fsync", path.stat().st_size), ("replace", "m.ckpt")]
+
+
+def test_save_makes_the_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "m.ckpt"
+    save_checkpoint(make_assembly(), path, phase="pretrain")
+    assert Checkpoint.load(path).phase == "pretrain"

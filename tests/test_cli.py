@@ -170,8 +170,12 @@ SCORES = {"methods": ["calibrated", "refined"], "tasks": ["t0", "t1"],
      "task 't0', method 'refined': score nan is not finite"),
     (json.dumps({**SCORES, "metrics": ["mse", "auc"]}), "unknown metric 'auc'"),
     (json.dumps([SCORES]), "TypeError"),
+    (json.dumps({**SCORES, "methods": ["a", "a"]}), "methods must list distinct strings"),
+    (json.dumps({**SCORES, "methods": [1, 2]}), "methods must list distinct strings"),
+    (json.dumps({**SCORES, "methods": "ab"}), "methods must list distinct strings"),
 ], ids=["truncated", "missing-key", "unequal-lists", "short-row", "long-row", "nan-score",
-        "unknown-metric", "top-level-list"])
+        "unknown-metric", "top-level-list", "repeated-method", "method-not-a-string",
+        "methods-a-string"])
 def test_malformed_scores_json_exits_1_with_an_error_line(tmp_path, capsys, text, reason):
     out = tmp_path / "run"
     out.mkdir()
@@ -200,6 +204,20 @@ def test_an_unreadable_input_exits_1_with_one_error_line(tmp_path, capsys, comma
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(path) in errors[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,blocker", [
+    ("pretrain", "out"), ("gen-synth", "out/run/suite"),
+], ids=["output-dir-under-a-file", "suite-dir-is-a-file"])
+def test_an_output_that_cannot_be_written_exits_1_with_an_error_line(
+        tmp_path, capsys, command, blocker):
+    (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocker).write_text("")
+    assert run(command, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(tmp_path / blocker) in errors[0]
+    assert "Traceback" not in err
 
 
 def test_pretrain_reads_the_suite_its_config_names_not_an_exported_one(tmp_path):
@@ -255,6 +273,27 @@ def test_a_task_named_like_another_exits_2_before_writing(pipeline_dir, tmp_path
     assert not (tmp_path / "run" / "scores.json").exists()
 
 
+def test_a_task_whose_name_is_not_one_path_component_exits_1_before_writing(
+        pipeline_dir, tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    shutil.copy(pipeline_dir / "pretrained.ckpt", tmp_path / "run")
+    heldout = pipeline_dir / "suite" / "heldout"
+    manifest = tmp_path / "escaped.manifest.json"
+    meta = json.loads((heldout / "synth_task_00.manifest.json").read_text())
+    manifest.write_text(json.dumps({**meta, "name": "../../escaped"}))
+    task = json.dumps([{"csv": str(heldout / "synth_task_00.csv"), "manifest": str(manifest)}])
+    assert run("calibrate", tmp_path, extra=["--set", f"data.tasks={task}"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: malformed manifest" in err and "one path component" in err
+    assert not (tmp_path / "escaped").exists() and not (tmp_path / "run" / "tasks").exists()
+
+
+def test_a_task_entry_holds_only_its_csv_and_manifest():
+    task = '[{"csv": "a.csv", "manifest": "b.json", "setting": NaN}]'
+    with pytest.raises(ConfigError, match=r"data\.tasks\[0\]: unknown key 'setting'"):
+        RunConfig.load(None, [f"data.tasks={task}"])
+
+
 def test_a_repeated_setting_is_a_config_error():
     with pytest.raises(ConfigError, match="settings: 'T-100' is listed twice"):
         RunConfig.load(None, ['settings=["T-100", "T-20", "T-100"]'])
@@ -276,6 +315,8 @@ def test_eval_before_calibrate_exits_2(tmp_path):
     assert run("gen-synth", tmp_path) == 0
     assert run("pretrain", tmp_path) == 0
     assert run("eval", tmp_path) == 2  # calibrated checkpoints missing
+    assert run("refine", tmp_path) == 2
+    assert not (tmp_path / "run" / "tasks").exists()
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

@@ -116,6 +116,12 @@ def test_schema_validation():
                                  D.Column("y", "target")])
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
+def test_a_dataset_name_is_one_path_component(name):
+    with pytest.raises(DataError, match="must be one path component"):
+        D.Schema(name, "regression", [D.Column("y", "target")])
+
+
 def sizes(bundle):
     return {k: v.size for k, v in bundle.splits.items()}
 
@@ -364,6 +370,22 @@ def test_load_suite_rejects_a_malformed_suite_json_naming_it(tmp_path, edit):
     path = exported_suite_json(tmp_path)
     path.write_text(edit(json.loads(path.read_text())))
     with pytest.raises(DataError, match="suite.json"):
+        D.load_suite(tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda mix: mix[:3], lambda mix: [*mix, "0.1"], lambda mix: ["nan", *mix[1:]],
+    lambda mix: None,
+], ids=["cut", "extra-weight", "nan-weight", "missing"])
+def test_load_suite_needs_a_whole_finite_mixture_for_every_listed_table(tmp_path, edit):
+    path = exported_suite_json(tmp_path)
+    meta = json.loads(path.read_text())
+    meta["mixtures"]["synth_task_00"] = edit(meta["mixtures"]["synth_task_00"])
+    if meta["mixtures"]["synth_task_00"] is None:
+        del meta["mixtures"]["synth_task_00"]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=r"suite\.json: malformed suite description .*"
+                                        r"'synth_task_00' needs a mixture of 6 finite weights"):
         D.load_suite(tmp_path)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,16 @@ def brute_force_win_tie_loss(a, b, higher_better):
         else:
             losses += 1
     return wins, ties, losses
+
+
+@pytest.mark.parametrize("methods", [["a", "a"], [1, 2], "ab", ("a", "b")],
+                         ids=["repeated", "not-strings", "a-string", "a-tuple"])
+def test_a_score_table_names_each_method_once_as_a_string(methods):
+    with pytest.raises(DataError, match="methods must list distinct strings"):
+        E.ScoreTable(methods)
+    doc = {"methods": methods, "tasks": ["t"], "metrics": ["mse"], "values": [[0.1, 0.2]]}
+    with pytest.raises(DataError, match="methods must list distinct strings"):
+        E.ScoreTable.from_dict(doc)
 
 
 def make_table(values, higher_better=True, methods=None):
@@ -390,3 +401,17 @@ def test_predict_rows_bounds_one_attention_score_array():
         assert rows == want
         assert rows * row_bytes <= E.SCORE_BYTES < (rows + 8) * row_bytes
     assert E.predict_rows(ACCEPTANCE, 10_000) == 1
+
+
+def test_a_failed_report_write_keeps_the_previous_files_and_leaves_no_temporary(
+        tmp_path, monkeypatch):
+    E.build_report({"main": make_table([[0.9, 0.8], [0.7, 0.6]])}, tmp_path / "report")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        E.build_report({"main": make_table([[0.1, 0.8], [0.7, 0.6]])}, tmp_path / "report")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
