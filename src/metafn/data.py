@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (DataError, UsageError, check_int, check_real, json_text, read_file,
                      read_json, write_file)
@@ -30,6 +29,58 @@ from .model import DatasetSignature
 
 PROB_CLIP = 1e-7
 QUANTILE_JITTER = 1e-3   # tie-breaking noise before a quantile fit, in column stds
+
+# Cephes ndtri: below E2 = exp(-2) a tail expansion in 1/sqrt(-2 log p), above it a
+# rational function of p - 1/2.  Its third range, p < exp(-32), lies beyond PROB_CLIP.
+_E2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+
+
+def _polevl(v: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes's order; ``leading_one`` adds an implicit 1 as the top
+    coefficient (Cephes's p1evl)."""
+    a = v + coef[0] if leading_one else coef[0]
+    for c in coef[1:]:
+        a = a * v + c
+    return a
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    # libm's log, element by element: numpy's SIMD log differs from it in the last bit
+    return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """The standard normal inverse CDF of ``p`` in [PROB_CLIP, 1 - PROB_CLIP].
+
+    A port of Cephes ndtri, bit for bit: each operation runs in its order and
+    ``log`` is libm's.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    upper = p > 1.0 - _E2
+    y = np.where(upper, 1.0 - p, p)
+    x = np.empty_like(y)
+    centre = y > _E2
+    t = y[centre] - 0.5
+    t2 = t * t
+    x[centre] = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0, True))) * _S2PI
+    tail = ~centre
+    r = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / r
+    v = (r - _libm_log(r) / r) - z * _polevl(z, _P1) / _polevl(z, _Q1, True)
+    x[tail] = np.where(upper[tail], v, -v)
+    return x
 
 
 @dataclass(frozen=True)
@@ -110,13 +161,20 @@ class QuantileTransform:
     deviations to break ties, sit sorted at plotting positions (i+0.5)/n;
     between them the empirical CDF is linearly interpolated, outside
     them it is clipped to the extreme quantiles, and probabilities are
-    clipped to [1e-7, 1-1e-7] before the normal inverse CDF.
+    clipped to [1e-7, 1-1e-7] before the normal inverse CDF.  Only the
+    sorted values are kept; a constant column keeps none and maps to 0.
     """
 
-    def __init__(self, knots_x: np.ndarray, knots_p: np.ndarray, degenerate: bool):
+    def __init__(self, knots_x: np.ndarray):
         self.knots_x = knots_x
-        self.knots_p = knots_p
-        self.degenerate = degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        return self.knots_x.size == 0
+
+    @property
+    def knots_p(self) -> np.ndarray:
+        return (np.arange(self.knots_x.size) + 0.5) / self.knots_x.size
 
     @classmethod
     def fit(cls, values: np.ndarray, rng: np.random.Generator) -> "QuantileTransform":
@@ -125,18 +183,20 @@ class QuantileTransform:
             raise DataError("cannot fit a quantile transform on an empty column")
         if np.unique(v).size < 2:
             warnings.warn("constant column mapped to zeros by quantile transform")
-            return cls(np.array([]), np.array([]), degenerate=True)
+            return cls(np.array([]))
         v = v + rng.normal(0.0, QUANTILE_JITTER * v.std(), size=v.shape)
-        xs = np.sort(v)
-        ps = (np.arange(xs.size) + 0.5) / xs.size
-        return cls(xs, ps, degenerate=False)
+        return cls(np.sort(v))
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    def probabilities(self, values: np.ndarray) -> np.ndarray:
+        """The clipped probabilities of ``values``, before the normal inverse CDF."""
         v = np.asarray(values, dtype=np.float64)
         if self.degenerate:
-            return np.zeros_like(v)
+            return np.full_like(v, 0.5)
         p = np.interp(v, self.knots_x, self.knots_p)
-        return ndtri(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
+        return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return _normal_quantile(self.probabilities(values))
 
 
 @dataclass
@@ -210,8 +270,9 @@ def prepare(bundle: DatasetBundle, split_seed: int,
 def matrices(bundle: DatasetBundle, split_name: str):
     """Model-ready (x_num, x_cat, y) for one split, transforms applied."""
     idx = bundle.split_rows(split_name)
-    x_num = np.column_stack([t.apply(bundle.x_num[idx, j])
-                             for j, t in enumerate(bundle.transforms)]) \
+    # one quantile call for all columns: each call has a fixed cost of its own
+    x_num = _normal_quantile(np.column_stack([t.probabilities(bundle.x_num[idx, j])
+                                              for j, t in enumerate(bundle.transforms)])) \
         if bundle.transforms else np.empty((idx.size, 0))
     y = bundle.y[idx].astype(np.float64)
     if bundle.target_std is not None:
@@ -499,8 +560,12 @@ def load_suite(suite_dir) -> SynthSuite:
     def read(sub):
         out = []
         for name in tables[sub]:
-            b = load_csv(root / sub / f"{name}.csv", root / sub / f"{name}.manifest.json")
-            b.true_mixture = mixtures.get(b.schema.name)
+            manifest = root / sub / f"{name}.manifest.json"
+            b = load_csv(root / sub / f"{name}.csv", manifest)
+            if b.schema.name != name:
+                raise DataError(f"{manifest}: names table {b.schema.name!r}, "
+                                f"but suite.json lists it as {name!r}")
+            b.true_mixture = mixtures[name]
             out.append(b)
         return out
 

@@ -17,7 +17,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DimensionError
 
@@ -26,6 +25,8 @@ LAYER_NORM_EPS = 1e-5
 # Widest softmax axis whose row max is taken column by column (see _softmax);
 # the column sweep and numpy's row reduce break even at 21-25 keys.
 SWEEP_MAX_KEYS = 16
+# The largest argument whose exp is finite; math.exp raises OverflowError above it
+EXP_MAX = 709.782712893384
 
 
 @contextlib.contextmanager
@@ -246,13 +247,23 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward)
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-x) with libm's exp, as scipy.special.expit
+    computes it; numpy's SIMD exp differs from libm in the last bit."""
+    neg = -x
+    e = np.fromiter(map(math.exp, np.minimum(neg, EXP_MAX).ravel().tolist()),
+                    np.float64, neg.size).reshape(neg.shape)
+    e[neg > EXP_MAX] = np.inf
+    return 1.0 / (1.0 + e)
+
+
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; derivative is the logistic sigmoid."""
     a = _to_const(a)
     out_data = np.logaddexp(0.0, a.data)
 
     def backward(g):
-        a._accumulate(g * expit(a.data))
+        a._accumulate(g * _expit(a.data))
 
     return Tensor._from_op(out_data, (a,), backward)
 

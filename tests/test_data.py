@@ -208,6 +208,61 @@ def test_quantile_normality_of_uniform_sample():
     assert kstest(out, "norm").statistic < 0.02
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _reference_probabilities():
+    rng = np.random.default_rng(29)
+    uniform = rng.uniform(D.PROB_CLIP, 1.0 - D.PROB_CLIP, size=1_000_000)
+    tails = np.exp(rng.uniform(np.log(D.PROB_CLIP), np.log(0.2), size=200_000))
+    e2 = [D._E2, 1.0 - D._E2]
+    edges = e2 + [np.nextafter(e, d) for e in e2 for d in (0.0, 1.0)]
+    positions = [(np.arange(n) + 0.5) / n for n in (3, 100, 1280, 13108)]
+    return {"uniform": uniform, "tails": tails, "complements": 1.0 - tails,
+            "ends": np.array([D.PROB_CLIP, 1.0 - D.PROB_CLIP, 0.5]),
+            "e2-edges": np.array(edges), "plotting-positions": np.concatenate(positions)}
+
+
+@pytest.mark.parametrize("name", ["uniform", "tails", "complements", "ends", "e2-edges",
+                                  "plotting-positions"])
+def test_normal_quantile_equals_scipy_ndtri_bitwise(name):
+    from scipy.special import ndtri
+    p = _reference_probabilities()[name]
+    assert p.min() >= D.PROB_CLIP and p.max() <= 1.0 - D.PROB_CLIP
+    np.testing.assert_array_equal(_bits(D._normal_quantile(p)), _bits(ndtri(p)))
+
+
+def test_normal_quantile_keeps_the_shape_and_maps_one_half_to_plus_zero():
+    p = np.array([[0.5, 0.25], [0.01, 0.99]])
+    x = D._normal_quantile(p)
+    assert x.shape == (2, 2) and _bits(x[0, 0]) == _bits(0.0)
+    assert x[1, 0] == -x[1, 1] < x[0, 1] < 0.0
+
+
+def test_clipped_probabilities_never_reach_the_far_tail_branch():
+    # Cephes ndtri has a third expansion for sqrt(-2 log p) >= 8, left out of the port
+    assert np.sqrt(-2.0 * np.log(D.PROB_CLIP)) < 8.0
+
+
+def test_a_fitted_quantile_map_keeps_only_its_sorted_values():
+    qt = D.QuantileTransform.fit(np.array([3.0, 1.0, 2.0]), np.random.default_rng(0))
+    assert list(vars(qt)) == ["knots_x"]
+    assert np.all(np.diff(qt.knots_x) > 0) and not qt.degenerate
+    with pytest.warns(UserWarning, match="constant"):
+        flat = D.QuantileTransform.fit(np.full(4, 1.0), np.random.default_rng(0))
+    assert flat.degenerate and flat.knots_x.size == 0 and flat.knots_p.size == 0
+    np.testing.assert_array_equal(flat.probabilities(np.array([0.0, 9.0])), [0.5, 0.5])
+
+
+def test_matrices_equal_each_column_mapped_on_its_own():
+    b = D.prepare(toy_bundle(300, seed=9), split_seed=2)
+    x, _, _ = D.matrices(b, "test")
+    rows = b.splits["test"]
+    for j, t in enumerate(b.transforms):
+        np.testing.assert_array_equal(_bits(x[:, j]), _bits(t.apply(b.x_num[rows, j])))
+
+
 def test_transforms_never_see_valid_or_test():
     b = toy_bundle(500, seed=3)
     out = D.prepare(b, split_seed=4, setting="T-200")
@@ -397,6 +452,17 @@ def test_load_suite_reads_only_the_listed_tables(tmp_path):
     suite = D.load_suite(tmp_path)
     assert [b.schema.name for b in suite.pretrain] == ["synth_pre_00", "synth_pre_01"]
     assert [b.schema.name for b in suite.heldout] == ["synth_task_00"]
+
+
+def test_load_suite_refuses_a_manifest_named_for_another_table(tmp_path):
+    exported_suite_json(tmp_path)
+    manifest = tmp_path / "heldout" / "synth_task_00.manifest.json"
+    meta = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**meta, "name": "synth_pre_00"}))
+    with pytest.raises(DataError, match=r"synth_task_00\.manifest\.json: names table "
+                                        r"'synth_pre_00', but suite\.json lists it as "
+                                        r"'synth_task_00'"):
+        D.load_suite(tmp_path)
 
 
 def test_load_suite_names_a_missing_listed_table(tmp_path):

@@ -536,3 +536,14 @@ def test_an_array_on_the_left_defers_to_the_tensor(op):
     np.testing.assert_array_equal(out.data, left * t.data if op == "mul" else left + t.data)
     T.tsum(out).backward()
     np.testing.assert_array_equal(t.grad, left if op == "mul" else np.ones(3))
+
+
+def test_expit_equals_scipy_expit_bitwise():
+    from scipy.special import expit
+    edge = T.EXP_MAX
+    around = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    x = np.concatenate([np.linspace(-40.0, 40.0, 400_001), np.linspace(-800.0, 800.0, 400_001),
+                        around, np.negative(around), [745.2, -745.2, 0.0, -0.0]])
+    got, want = T._expit(x), expit(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert T._expit(np.array(-800.0)) == 0.0 and T._expit(np.array([[800.0]])).shape == (1, 1)
